@@ -22,11 +22,11 @@
 // each sweep's job space across the peer nbtiserved nodes by
 // consistent-hash ownership of the job content addresses, forwards
 // uploaded traces to the shard that owns their jobs on demand, merges
-// per-shard progress and results into one sweep — consuming each
-// shard's completion stream, degrading to status polls for shards
-// without streaming — and re-routes jobs
-// from a failed peer to the next ring owner. /metrics then reports the
-// routing counters, including per-shard routed/retried/merged series.
+// per-shard progress and results into one sweep — following each
+// shard's completion stream, reopened at its cursor if severed — and
+// re-routes jobs from a failed peer to the next ring owner. /metrics
+// then reports the routing counters, including per-shard
+// routed/retried/merged series.
 //
 // Membership is elastic: a health-probe loop evicts unresponsive peers
 // (after consecutive failures, never on one transient miss) and
@@ -105,7 +105,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/ (CPU/heap profiling of the live simulation hot path)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs; when set, run as a cluster coordinator over them instead of a simulation node")
 	ringReplicas := flag.Int("ring-replicas", cluster.DefaultReplicas, "coordinator mode: consistent-hash virtual nodes per peer")
-	pollInterval := flag.Duration("poll-interval", cluster.DefaultPollInterval, "coordinator mode: per-shard sweep poll cadence")
+	pollInterval := flag.Duration("poll-interval", cluster.DefaultPollInterval, "coordinator mode: sweep-state checkpoint cadence, and the base of the stalled-round and stream-reopen backoff")
 	replicas := flag.Int("replicas", 1, "coordinator mode: ring owners each job result is written to (1 = no replication)")
 	healthInterval := flag.Duration("health-interval", cluster.DefaultHealthInterval, "coordinator mode: membership health-probe cadence (negative disables the probe loop)")
 	join := flag.String("join", "", "node mode: coordinator base URL to announce this node to at startup (elastic join; requires -advertise)")

@@ -61,8 +61,8 @@ func newShardClient(hc *http.Client, maxForward int64) *shardClient {
 
 // streamStallTimeout severs an event stream with no bytes at all (the
 // server heartbeats idle streams every DefaultEventHeartbeat, so a live
-// connection is never silent this long); the consumer then degrades to
-// polling.
+// connection is never silent this long); the consumer then reopens it
+// at its cursor.
 const streamStallTimeout = 2 * time.Minute
 
 // eventStream is one open shard completion feed.
@@ -84,11 +84,11 @@ func (s *eventStream) Close() {
 }
 
 // openEvents opens a shard sub-sweep's completion stream at cursor
-// `from`. Failure to open — the route 404ing on a shard that predates
-// (or disables) streaming included — is the caller's cue to degrade to
-// the poll loop. The returned stream's reads are bounded by a stall
-// watchdog: a connection silent past streamStallTimeout (heartbeats
-// count as activity) is cancelled, surfacing as a read error.
+// `from` (sent as Last-Event-ID, so the shard replays every completion
+// past it). A shard's non-2xx answer comes back as *statusError. The
+// returned stream's reads are bounded by a stall watchdog: a connection
+// silent past streamStallTimeout (heartbeats count as activity) is
+// cancelled, surfacing as a read error.
 func (sc *shardClient) openEvents(ctx context.Context, peer, id string, from int) (*eventStream, error) {
 	defer sc.observe("sweep_events")()
 	sctx, cancel := context.WithCancel(ctx)
@@ -209,14 +209,6 @@ func (sc *shardClient) submit(ctx context.Context, peer string, spec engine.Swee
 	}
 	var out httpapi.SubmitResponse
 	err = sc.doJSON(ctx, http.MethodPost, peer+"/v1/sweeps", body, "application/json", &out)
-	return out, err
-}
-
-// sweep polls a shard sweep's progress and resolved results.
-func (sc *shardClient) sweep(ctx context.Context, peer, id string) (httpapi.SweepResponse, error) {
-	defer sc.observe("sweep_poll")()
-	var out httpapi.SweepResponse
-	err := sc.doJSON(ctx, http.MethodGet, peer+"/v1/sweeps/"+id, nil, "", &out)
 	return out, err
 }
 

@@ -107,11 +107,10 @@ func TestClusterFailureInjection(t *testing.T) {
 	c := cl.Coordinator(t)
 
 	spec := engine.SweepSpec{Name: "failure-injection", Banks: []int{4}} // all 18 benchmarks at M=4
-	h, err := c.Submit(context.Background(), spec)
+	jobs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := h.Jobs()
 	total := len(jobs)
 	if total < 18 {
 		t.Fatalf("sweep expanded to %d jobs, want >= 18", total)
@@ -137,13 +136,31 @@ func TestClusterFailureInjection(t *testing.T) {
 	if doomed == nil {
 		t.Fatalf("owner %s is not a harness node", doomedURL)
 	}
+	// None of the victim's jobs can finish before the kill, however
+	// loaded the host: its generations stall until it dies.
+	doomed.HoldGeneration()
+	h, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Kill the victim as soon as its sub-sweep has been accepted —
-	// mid-sweep, before any of its jobs (>= 50ms each) can finish.
+	// Kill the victim once the coordinator has counted its sub-sweep as
+	// accepted (routed) — mid-sweep by construction. The victim's own
+	// submit counter is too early: a kill between the shard admitting
+	// the sub-sweep and the coordinator reading the answer fails the
+	// submit instead, and the jobs then re-route as first dispatches.
+	routed := func() uint64 {
+		for _, sh := range c.Stats().Shards {
+			if sh.Peer == doomedURL {
+				return sh.Routed
+			}
+		}
+		return 0
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for doomed.Engine.Stats().JobsSubmitted == 0 {
+	for routed() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("victim node never received its sub-sweep")
+			t.Fatal("victim node never accepted its sub-sweep")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -39,8 +39,9 @@ type Options struct {
 	// content-addressed determinism depends on), so failure-injection
 	// tests can reliably kill a node mid-sweep.
 	GenDelay time.Duration
-	// PollInterval is the coordinator's shard poll cadence; <= 0 means
-	// 25ms (fast, suited to in-process latencies).
+	// PollInterval is the coordinator's checkpoint, stall-backoff and
+	// stream-reopen cadence; <= 0 means 25ms (fast, suited to
+	// in-process latencies).
 	PollInterval time.Duration
 	// HealthInterval is the coordinator's membership probe cadence;
 	// 0 means 50ms (fast rejoin for in-process latencies), negative
@@ -49,11 +50,6 @@ type Options struct {
 	// Replicas is the coordinator's owner-replication factor; <= 1
 	// means no replication.
 	Replicas int
-	// StreamlessNodes lists node indexes (start order) whose API server
-	// is built with event streaming disabled — modeling a shard that
-	// predates the push dataplane, so the coordinator must degrade to
-	// the poll loop for it. The knob survives Restart.
-	StreamlessNodes []int
 }
 
 // Node is one in-process nbtiserved instance.
@@ -74,14 +70,14 @@ type Node struct {
 
 	cl   *Cluster
 	addr string // host:port, for rebinding on Restart
-	// noStreaming builds this node's API server with event streaming
-	// disabled (see Options.StreamlessNodes); constant across Restart.
-	noStreaming bool
 
 	mu          sync.Mutex
 	ts          *httptest.Server
 	dead        bool
 	partitioned bool
+	// hold, while non-nil, stalls every trace generation on the node
+	// until Kill closes it (see HoldGeneration).
+	hold chan struct{}
 }
 
 // handler wraps a node's route table with the partition fault: while
@@ -112,15 +108,38 @@ func (n *Node) Kill() {
 		return
 	}
 	n.dead = true
-	ts, eng := n.ts, n.Engine
+	ts, eng, hold := n.ts, n.Engine, n.hold
+	n.hold = nil
 	// Close outside the node lock: Server.Close waits for in-flight
 	// requests, and an in-flight request (a health probe, say) takes
 	// n.mu in the partition wrapper — holding the lock here deadlocks
 	// the two.
 	n.mu.Unlock()
+	// Refuse new connections before breaking the established ones: a
+	// severed event stream reconnects at once, and a stream accepted in
+	// between would keep Server.Close waiting while the "dead" node
+	// finishes its sub-sweep.
+	ts.Listener.Close()
 	ts.CloseClientConnections()
 	ts.Close()
+	// Held generations resume only now, with the node unreachable: what
+	// they compute can never reach the coordinator.
+	if hold != nil {
+		close(hold)
+	}
 	eng.Close()
+}
+
+// HoldGeneration stalls every trace generation on the node — so each
+// job it runs blocks before simulating — until the node is killed. A
+// test can then kill the node with its whole sub-sweep still in flight,
+// however loaded the host is.
+func (n *Node) HoldGeneration() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.hold == nil {
+		n.hold = make(chan struct{})
+	}
 }
 
 // Restart brings a killed node back on the same address with the same
@@ -142,7 +161,7 @@ func (n *Node) Restart(tb testing.TB) {
 	// a while, and the partition wrapper must stay responsive meanwhile.
 	// Tests drive each node from one goroutine, so dead cannot flip
 	// between the check and the install below.
-	eng, err := n.cl.newEngine(n.DataDir)
+	eng, err := n.newEngine()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -161,7 +180,7 @@ func (n *Node) Restart(tb testing.TB) {
 		// of sleeping a blind fixed cadence.
 		time.Sleep(time.Millisecond)
 	}
-	ts := httptest.NewUnstartedServer(n.handler(httpapi.NewServer(eng, n.apiConfig()).Handler()))
+	ts := httptest.NewUnstartedServer(n.handler(httpapi.NewServer(eng, httpapi.Config{}).Handler()))
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
@@ -191,18 +210,12 @@ func (n *Node) Restart(tb testing.TB) {
 // SeverConnections force-closes every established client connection to
 // the node — in-flight event streams included — without touching the
 // listener or the engine: the very next request succeeds. This is the
-// mid-sweep stream-sever fault the poll-fallback path is proven by.
+// mid-sweep stream-sever fault the cursor-resume path is proven by.
 func (n *Node) SeverConnections() {
 	n.mu.Lock()
 	ts := n.ts
 	n.mu.Unlock()
 	ts.CloseClientConnections()
-}
-
-// apiConfig is the node's httpapi configuration — identical across
-// Restart, like the engine configuration.
-func (n *Node) apiConfig() httpapi.Config {
-	return httpapi.Config{DisableStreaming: n.noStreaming}
 }
 
 // Partition toggles the node's 503 fault: on=true makes every request
@@ -222,16 +235,23 @@ type Cluster struct {
 	opts  Options
 }
 
-// newEngine builds one node engine with the cluster's shared
+// newEngine builds the node's engine with the cluster's shared
 // configuration — identical across nodes and across Restart, which is
 // the content-addressed determinism contract.
-func (cl *Cluster) newEngine(dir string) (*engine.Engine, error) {
+func (n *Node) newEngine() (*engine.Engine, error) {
+	opts := n.cl.opts
 	return engine.New(engine.Options{
-		Workers: cl.opts.Workers,
-		DataDir: dir,
+		Workers: opts.Workers,
+		DataDir: n.DataDir,
 		Gen: func(g cache.Geometry) workload.GenParams {
-			if cl.opts.GenDelay > 0 {
-				time.Sleep(cl.opts.GenDelay)
+			n.mu.Lock()
+			hold := n.hold
+			n.mu.Unlock()
+			if hold != nil {
+				<-hold
+			}
+			if opts.GenDelay > 0 {
+				time.Sleep(opts.GenDelay)
 			}
 			return workload.GenParams{Geometry: g, Phases: 16, AccessesPerPhase: 64}
 		},
@@ -243,24 +263,17 @@ func (cl *Cluster) newEngine(dir string) (*engine.Engine, error) {
 // through the join endpoint and watch the ring grow.
 func (cl *Cluster) StartNode(tb testing.TB) *Node {
 	tb.Helper()
-	i := len(cl.Nodes)
-	dir := tb.TempDir()
-	eng, err := cl.newEngine(dir)
+	node := &Node{
+		Name:    fmt.Sprintf("node%d", len(cl.Nodes)),
+		DataDir: tb.TempDir(),
+		cl:      cl,
+	}
+	eng, err := node.newEngine()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	node := &Node{
-		Name:    fmt.Sprintf("node%d", i),
-		Engine:  eng,
-		DataDir: dir,
-		cl:      cl,
-	}
-	for _, idx := range cl.opts.StreamlessNodes {
-		if idx == i {
-			node.noStreaming = true
-		}
-	}
-	ts := httptest.NewServer(node.handler(httpapi.NewServer(eng, node.apiConfig()).Handler()))
+	node.Engine = eng
+	ts := httptest.NewServer(node.handler(httpapi.NewServer(eng, httpapi.Config{}).Handler()))
 	node.ts = ts
 	node.URL = ts.URL
 	node.addr = ts.Listener.Addr().String()

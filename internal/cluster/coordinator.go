@@ -35,7 +35,9 @@ type Options struct {
 	// Replicas is the ring's virtual-node count per peer; <= 0 means
 	// DefaultReplicas.
 	Replicas int
-	// PollInterval paces per-shard sweep polling; <= 0 means
+	// PollInterval paces the sweep-state checkpoints (see DataDir), the
+	// backoff between routing rounds that stall, and the pause before
+	// reopening a shard stream that delivered nothing new; <= 0 means
 	// DefaultPollInterval.
 	PollInterval time.Duration
 	// MaxForwardBytes caps one forwarded trace's canonical encoding;
@@ -71,8 +73,7 @@ type Options struct {
 	DataDir string
 }
 
-// DefaultPollInterval paces shard sweep polling when
-// Options.PollInterval is zero.
+// DefaultPollInterval is Options.PollInterval's default.
 const DefaultPollInterval = 200 * time.Millisecond
 
 // errTraceUnavailable marks a referenced trace that no live peer holds:
@@ -156,12 +157,10 @@ type Coordinator struct {
 	sweepsResumed        atomic.Uint64
 	jobsRecovered        atomic.Uint64
 
-	// Push-dataplane counters: streams opened to shards, job results
-	// merged off those streams, and dispatches that degraded to the
-	// poll loop (stream unavailable or severed).
+	// Dataplane counters: shard streams opened (reopens included) and
+	// job results merged off them.
 	streamsOpened  atomic.Uint64
 	eventsStreamed atomic.Uint64
-	fallbackPolls  atomic.Uint64
 }
 
 // New builds a coordinator over the given peers. The peers are not
@@ -371,14 +370,21 @@ func (c *Coordinator) Submit(ctx context.Context, spec engine.SweepSpec) (*Handl
 			return nil, fmt.Errorf("cluster: unknown trace %q (upload it first)", j.TraceID)
 		}
 	}
-	sctx, cancel := context.WithCancel(c.lifeCtx)
-	h := newHandle(fmt.Sprintf("csweep-%d", c.seq.Add(1)), spec, jobs, sctx, cancel)
+	// The sweep's root span: it joins the submitter's trace when ctx
+	// carries one (a tracing client sent traceparent) and roots a new
+	// trace otherwise. Every dispatch span — and, across the HTTP hop,
+	// every shard-side engine span — descends from it, which is what lets
+	// the spans endpoint stitch one tree for the whole distributed sweep.
+	id := fmt.Sprintf("csweep-%d", c.seq.Add(1))
+	_, span := c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
+		"sweep_id", id, "jobs", itoa(len(jobs)))
+	h := newHandle(engine.NewHandle(c.lifeCtx, id, spec, jobs, span, nil))
 	c.mu.Lock()
 	if c.closed.Load() {
 		// Close won the race since the check above; registering a
 		// routing goroutine now would slip past its Wait.
 		c.mu.Unlock()
-		cancel()
+		h.Cancel()
 		return nil, fmt.Errorf("cluster: coordinator closed")
 	}
 	c.wg.Add(1)
@@ -391,14 +397,6 @@ func (c *Coordinator) Submit(ctx context.Context, spec engine.SweepSpec) (*Handl
 		go c.persistLoop(h)
 	}
 	c.sweepsTotal.Add(1)
-	// The sweep's root span: it joins the submitter's trace when ctx
-	// carries one (a tracing client sent traceparent) and roots a new
-	// trace otherwise. Every dispatch span — and, across the HTTP hop,
-	// every shard-side engine span — descends from it, which is what lets
-	// the spans endpoint stitch one tree for the whole distributed sweep.
-	_, h.span = c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
-		"sweep_id", h.ID, "jobs", itoa(len(jobs)))
-	h.tsc = h.span.Context()
 	go c.run(h)
 	return h, nil
 }
@@ -420,7 +418,8 @@ func (c *Coordinator) Sweep(ctx context.Context, spec engine.SweepSpec) (*engine
 
 // maxStalledRounds bounds routing rounds that neither resolve a job
 // nor shrink the ring (every shard answering "not right now"): the
-// loop backs off exponentially between such rounds — poll×2, ×4, …,
+// loop backs off exponentially between such rounds — PollInterval×2,
+// ×4, …,
 // about 12 seconds in total at the default cadence, enough for an
 // upload-gate or store-full condition to clear — and fails the jobs,
 // never the peers, once the budget is spent.
@@ -439,8 +438,10 @@ func (c *Coordinator) run(h *Handle) {
 		delete(c.handles, h.ID)
 		c.mu.Unlock()
 	}()
+	ctx := h.Context()
+	jobs := h.Jobs()
 	stalled := 0
-	for h.ctx.Err() == nil {
+	for ctx.Err() == nil {
 		pending := h.unresolved()
 		if len(pending) == 0 {
 			return
@@ -452,7 +453,7 @@ func (c *Coordinator) run(h *Handle) {
 		}
 		groups := make(map[string][]int)
 		for _, slot := range pending {
-			owner, _ := ring.Owner(h.jobs[slot].ID())
+			owner, _ := ring.Owner(jobs[slot].ID())
 			groups[owner] = append(groups[owner], slot)
 		}
 		doneBefore := h.Status()
@@ -477,38 +478,38 @@ func (c *Coordinator) run(h *Handle) {
 			return
 		}
 		select {
-		case <-h.ctx.Done():
+		case <-ctx.Done():
 		case <-time.After(c.poll * (1 << stalled)):
 		}
 	}
 	// Cancelled (handle or coordinator shutdown): settle the rest.
 	for _, slot := range h.unresolved() {
-		spec := h.jobs[slot]
-		h.record(slot, &engine.JobResult{
+		spec := jobs[slot]
+		h.resolve(slot, &engine.JobResult{
 			ID: spec.ID(), Spec: spec,
 			Err: context.Canceled.Error(), Canceled: true,
-		})
+		}, nil)
 	}
 }
 
 // dispatch routes one group of jobs to its owning shard: forward any
-// referenced traces the shard is missing, submit the sub-sweep, consume
-// its completion stream (degrading to the poll loop when the shard has
-// no stream), and merge results into the handle as they resolve. On a
-// peer failure the unmerged slots stay unresolved — the routing loop
-// re-routes them on the post-failure ring.
+// referenced traces the shard is missing, submit the sub-sweep, follow
+// its completion stream, and merge results into the handle as they
+// resolve. On a peer failure the unmerged slots stay unresolved — the
+// routing loop re-routes them on the post-failure ring.
 func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
-	ctx := h.ctx
+	ctx := h.Context()
+	jobs := h.Jobs()
 	if c.met.dispatch != nil {
 		start := time.Now()
 		defer func() { c.met.dispatch.Observe(time.Since(start).Seconds()) }()
 	}
-	if h.tsc.Valid() {
+	if sc := h.SpanContext(); sc.Valid() {
 		// The dispatch span parents the shard's engine spans: the derived
 		// context carries it into every shard request, where doJSON
 		// injects it as the traceparent header.
 		var span *obs.ActiveSpan
-		ctx, span = c.tel.Tracer.StartSpan(obs.ContextWith(ctx, h.tsc),
+		ctx, span = c.tel.Tracer.StartSpan(obs.ContextWith(ctx, sc),
 			"coordinator.dispatch", "peer", peer, "sweep_id", h.ID, "jobs", itoa(len(slots)))
 		defer span.End()
 	}
@@ -516,7 +517,7 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 	// resident on the shard before the sub-sweep submits.
 	need := make(map[string]bool)
 	for _, s := range slots {
-		if id := h.jobs[s].TraceID; id != "" {
+		if id := jobs[s].TraceID; id != "" {
 			need[id] = true
 		}
 	}
@@ -532,7 +533,7 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 			// re-routing cannot help the jobs that reference it.
 			var bad, rest []int
 			for _, s := range slots {
-				if h.jobs[s].TraceID == id {
+				if jobs[s].TraceID == id {
 					bad = append(bad, s)
 				} else {
 					rest = append(rest, s)
@@ -556,11 +557,11 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 		return
 	}
 
-	jobs := make([]engine.JobSpec, len(slots))
+	group := make([]engine.JobSpec, len(slots))
 	for i, s := range slots {
-		jobs[i] = h.jobs[s]
+		group[i] = jobs[s]
 	}
-	sub, err := c.client.submit(ctx, peer, engine.SweepSpec{Name: h.ID, Jobs: jobs})
+	sub, err := c.client.submit(ctx, peer, engine.SweepSpec{Name: h.ID, Jobs: group})
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:
@@ -600,115 +601,90 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 	}
 	c.mu.Unlock()
 
-	// Push first: consume the shard's completion stream and merge events
-	// the moment they arrive, so sweep latency is the shards' compute
-	// time rather than a multiple of the poll cadence. The poll loop
-	// below survives as the degraded path — taken when the shard has no
-	// stream (it predates streaming, or runs with it disabled) or the
-	// stream is severed mid-sweep — with the PR 9 failure semantics
-	// (eviction recovery, transient backoff, peer failure) intact, since
-	// its first poll re-classifies whatever condition broke the stream.
-	if c.streamSubSweep(ctx, h, peer, sub.ID) {
-		return
-	}
-	c.fallbackPolls.Add(1)
-
-	ticker := time.NewTicker(c.poll)
-	defer ticker.Stop()
-	for {
-		sw, err := c.client.sweep(ctx, peer, sub.ID)
-		if err != nil {
-			var se *statusError
-			switch {
-			case ctx.Err() != nil:
-				c.cancelRemote(peer, sub.ID)
-			case errors.As(err, &se) && se.Code == http.StatusNotFound:
-				// The sub-sweep finished and was evicted by the shard's
-				// retention between polls. The results are not lost —
-				// they live in the shard's content-addressed job cache —
-				// so recover them individually; anything unrecovered
-				// stays pending and re-dispatches.
-				c.recoverJobs(ctx, h, peer, slots)
-			case isTransient(err): // pending; the routing loop backs off and retries
-			case isPermanent(err):
-				c.failSlots(h, slots, err) // resolved slots are screened by record's exactly-once check
-			default:
-				c.failPeer(peer)
-			}
+	// Follow the sub-sweep's completion stream to its done frame,
+	// merging events the moment they arrive, so sweep latency is the
+	// shards' compute time. A severed stream reopens at its cursor — at
+	// once the first time, then after a PollInterval pause whenever the
+	// previous stream delivered nothing new. A stream that cannot be
+	// opened is classified like any other shard answer.
+	cursor := 0
+	for reopens := 0; ; reopens++ {
+		next, done, err := c.streamSubSweep(ctx, h, peer, sub.ID, cursor)
+		var se *statusError
+		switch {
+		case done:
 			return
-		}
-		for _, jr := range sw.Jobs {
-			if jr == nil || jr.Canceled {
-				// A shard-side cancellation (its engine shutting down)
-				// is not an answer: the slot stays unresolved and
-				// re-routes.
-				continue
-			}
-			slot, ok := h.slot[jr.ID]
-			if !ok {
-				continue
-			}
-			c.mergeResult(h, slot, peer, jr, false)
-		}
-		if sw.Status.State != "running" {
-			return
-		}
-		select {
-		case <-ctx.Done():
+		case ctx.Err() != nil:
 			c.cancelRemote(peer, sub.ID)
 			return
-		case <-ticker.C:
+		case err == nil: // severed mid-sweep: reopen below
+		case errors.As(err, &se) && se.Code == http.StatusNotFound:
+			// The sub-sweep finished and was evicted by the shard's
+			// retention before the stream reopened. The results are not
+			// lost — they live in the shard's content-addressed job cache
+			// — so recover them individually; anything unrecovered stays
+			// pending and re-dispatches.
+			c.recoverJobs(ctx, h, peer, slots)
+			return
+		case isTransient(err): // pending; the routing loop backs off and retries
+			return
+		case isPermanent(err):
+			c.failSlots(h, slots, err) // resolved slots are screened by resolve's exactly-once check
+			return
+		default:
+			c.failPeer(peer)
+			return
 		}
+		if reopens > 0 && next == cursor {
+			select {
+			case <-ctx.Done():
+				c.cancelRemote(peer, sub.ID)
+				return
+			case <-time.After(c.poll):
+			}
+		}
+		cursor = next
 	}
 }
 
-// streamSubSweep consumes one shard sub-sweep's completion stream,
-// merging job events into the handle as they arrive. It reports whether
-// the dispatch is settled — the sub-sweep reached a terminal state (the
-// `done` frame) or the sweep was cancelled. false means the stream
-// could not be opened or was severed mid-sweep; the caller degrades to
-// the poll loop, whose error classification preserves the established
-// recovery semantics for whatever condition broke the stream.
-func (c *Coordinator) streamSubSweep(ctx context.Context, h *Handle, peer, subID string) bool {
-	es, err := c.client.openEvents(ctx, peer, subID, 0)
+// streamSubSweep follows one shard sub-sweep's completion stream from
+// cursor `from`, merging job events into the handle as they arrive, and
+// returns the cursor it reached. done reports that the sub-sweep reached
+// a terminal state (the `done` frame); otherwise err is the failure to
+// open the stream, or nil when an open stream was severed (or the sweep
+// cancelled).
+func (c *Coordinator) streamSubSweep(ctx context.Context, h *Handle, peer, subID string, from int) (cursor int, done bool, err error) {
+	cursor = from
+	es, err := c.client.openEvents(ctx, peer, subID, from)
 	if err != nil {
-		if ctx.Err() != nil {
-			c.cancelRemote(peer, subID)
-			return true
-		}
-		return false
+		return cursor, false, err
 	}
 	defer es.Close()
 	c.streamsOpened.Add(1)
 	for {
 		frame, err := es.next()
 		if err != nil {
-			if ctx.Err() != nil {
-				c.cancelRemote(peer, subID)
-				return true
-			}
-			return false // severed mid-sweep: degrade to polling
+			return cursor, false, nil
 		}
 		switch frame.Event {
 		case "job":
+			if frame.HasID {
+				cursor = frame.ID
+			}
 			ev, err := frame.JobEvent()
 			if err != nil || ev.Job == nil || ev.Job.Canceled {
 				// A shard-side cancellation is not an answer (the slot
-				// stays unresolved and re-routes, exactly as on the poll
-				// path); a malformed frame is skipped — later frames, the
-				// done status, or the poll fallback still converge.
+				// stays unresolved and re-routes); a malformed frame is
+				// skipped — the routing loop re-dispatches whatever the
+				// stream left unresolved.
 				continue
 			}
-			slot, ok := h.slot[ev.Job.ID]
-			if !ok {
-				continue
-			}
-			if c.mergeResult(h, slot, peer, ev.Job, false) {
-				c.eventsStreamed.Add(1)
+			if slot, ok := h.slot[ev.Job.ID]; ok {
+				c.mergeResult(h, slot, peer, ev.Job, &c.eventsStreamed)
 			}
 		case "done":
 			if st, err := frame.DoneStatus(); err == nil && st.State != "running" {
-				return true
+				return cursor, true, nil
 			}
 		}
 	}
@@ -719,11 +695,11 @@ func (c *Coordinator) streamSubSweep(ctx context.Context, h *Handle, peer, subID
 // gone (evicted by retention). Unrecoverable slots stay pending.
 func (c *Coordinator) recoverJobs(ctx context.Context, h *Handle, peer string, slots []int) {
 	for _, s := range slots {
-		res, found, err := c.client.job(ctx, peer, h.jobs[s].ID())
+		res, found, err := c.client.job(ctx, peer, h.Jobs()[s].ID())
 		if err != nil || !found {
 			continue
 		}
-		c.mergeResult(h, s, peer, res, false)
+		c.mergeResult(h, s, peer, res, nil)
 	}
 }
 
@@ -731,10 +707,9 @@ func (c *Coordinator) recoverJobs(ctx context.Context, h *Handle, peer string, s
 // error-isolation contract: failures never abort the sweep).
 func (c *Coordinator) failSlots(h *Handle, slots []int, err error) {
 	for _, s := range slots {
-		spec := h.jobs[s]
-		if h.record(s, &engine.JobResult{ID: spec.ID(), Spec: spec, Err: err.Error()}) {
-			c.jobsFailed.Add(1)
-		}
+		spec := h.Jobs()[s]
+		h.resolve(s, &engine.JobResult{ID: spec.ID(), Spec: spec, Err: err.Error()},
+			func() { c.jobsFailed.Add(1) })
 	}
 }
 
@@ -877,13 +852,11 @@ type Stats struct {
 	SweepsResumed        uint64 `json:"sweeps_resumed"`
 	JobsRecovered        uint64 `json:"jobs_recovered"`
 
-	// Push-dataplane counters. StreamsOpened counts shard completion
-	// streams consumed, EventsStreamed the job results merged off them,
-	// and FallbackPolls the dispatches that degraded to the poll loop
-	// (shard without streaming, or a stream severed mid-sweep).
+	// Dataplane counters. StreamsOpened counts shard completion streams
+	// opened (a reopen after a sever counts again), EventsStreamed the
+	// job results merged off them.
 	StreamsOpened  uint64 `json:"streams_opened"`
 	EventsStreamed uint64 `json:"events_streamed"`
-	FallbackPolls  uint64 `json:"fallback_polls"`
 }
 
 // Stats snapshots the counters.
@@ -925,6 +898,5 @@ func (c *Coordinator) Stats() Stats {
 
 		StreamsOpened:  c.streamsOpened.Load(),
 		EventsStreamed: c.eventsStreamed.Load(),
-		FallbackPolls:  c.fallbackPolls.Load(),
 	}
 }

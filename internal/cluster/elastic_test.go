@@ -52,11 +52,55 @@ func assertByteIdentical(t *testing.T, want, got map[string][]byte) {
 	}
 }
 
+// mergedSnapshot captures the jobs merged successfully so far, by job
+// ID, in canonical byte form — the protected set a fault scenario
+// asserts is never simulated again.
+func mergedSnapshot(t *testing.T, h *cluster.Handle) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	for _, r := range h.Results() {
+		if r != nil && r.Err == "" && !r.Canceled {
+			out[r.ID] = canonicalResult(t, r)
+		}
+	}
+	return out
+}
+
+// assertNotResimulated checks, by job ID, that no job in merged was
+// simulated again at or after since: no node recorded an
+// engine.simulate span starting then under an engine.job span for one
+// of those jobs in the sweep's trace. A restarted node's engine is read
+// as it is now, so its post-restart work is covered.
+func assertNotResimulated(t *testing.T, cl *clustertest.Cluster, traceID string, merged map[string][]byte, since time.Time) {
+	t.Helper()
+	if traceID == "" {
+		t.Fatal("sweep has no trace ID: simulations cannot be attributed to jobs")
+	}
+	for _, n := range cl.Nodes {
+		spans := n.Engine.Telemetry().Tracer.Spans(traceID)
+		jobOf := make(map[string]string) // engine.job span ID -> job ID
+		for _, sp := range spans {
+			if sp.Name == "engine.job" {
+				jobOf[sp.SpanID] = sp.Attrs["job_id"]
+			}
+		}
+		for _, sp := range spans {
+			if sp.Name != "engine.simulate" || sp.Start.Before(since) {
+				continue
+			}
+			if id := jobOf[sp.ParentID]; merged[id] != nil {
+				t.Errorf("%s simulated job %s again at %s, after it merged", n.Name, id, sp.Start.Format(time.RFC3339Nano))
+			}
+		}
+	}
+}
+
 // TestNodeKillRejoinMidSweep is the elastic-membership acceptance
 // scenario: a node is killed mid-sweep and restarted on the same
 // address with the same data directory; the health loop re-admits it,
-// the sweep completes byte-identical to the 1-shard reference, and the
-// counters prove no job merged before the kill was ever re-simulated.
+// the sweep completes byte-identical to the 1-shard reference, and no
+// job merged before the kill is ever simulated again, checked by job
+// ID.
 func TestNodeKillRejoinMidSweep(t *testing.T) {
 	spec := elasticSpec("kill-rejoin")
 	want := referenceResults(t, spec)
@@ -99,23 +143,18 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	survivorRunsAtKill := make(map[string]uint64)
-	for _, n := range cl.Nodes {
-		if n != victim {
-			survivorRunsAtKill[n.Name] = n.Engine.Stats().RunsExecuted
-		}
-	}
+	// The protected set first, then the kill instant: every job in the
+	// set merged — so finished simulating — before killAt, and must
+	// never be simulated again by anyone.
+	mergedBytes := mergedSnapshot(t, h)
+	killAt := time.Now()
 	victim.Kill()
-	// Everything merged from here back is the protected set: these jobs
-	// must never be simulated again by anyone.
-	mergedAtKill := 0
-	mergedBytes := make(map[string][]byte)
-	for _, r := range h.Results() {
-		if r != nil && r.Err == "" && !r.Canceled {
-			mergedAtKill++
-			mergedBytes[r.ID] = canonicalResult(t, r)
-		}
-	}
+	// Restart only once the coordinator has evicted the victim. A stream
+	// reopen reaching the already-restarted victim would otherwise get a
+	// 404 and recover the sub-sweep's results from its cache, and the
+	// peer would never leave the ring, let alone rejoin it.
+	waitFor(t, 30*time.Second, func() bool { return c.Stats().AlivePeers == 2 },
+		"victim never evicted from the ring")
 	victim.Restart(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -136,21 +175,10 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 		}
 	}
 
-	// Zero re-simulation of already-merged jobs, by counters: merged
-	// slots never re-dispatch, so post-kill simulations anywhere in the
-	// cluster are bounded by the unmerged remainder. The restarted
-	// victim warm-starts from its disk CAS, so its counter covers only
-	// genuinely new work too.
-	postKillRuns := victim.Engine.Stats().RunsExecuted
-	for _, n := range cl.Nodes {
-		if n != victim {
-			postKillRuns += n.Engine.Stats().RunsExecuted - survivorRunsAtKill[n.Name]
-		}
-	}
-	if maxNew := uint64(total - mergedAtKill); postKillRuns > maxNew {
-		t.Errorf("post-kill simulations = %d, want <= %d (total %d - %d merged before the kill): an already-merged job was re-simulated",
-			postKillRuns, maxNew, total, mergedAtKill)
-	}
+	// Zero re-simulation of already-merged jobs, by job ID: merged
+	// slots never re-dispatch, and the restarted victim warm-starts
+	// from its disk CAS.
+	assertNotResimulated(t, cl, h.TraceID(), mergedBytes, killAt)
 
 	// The health loop re-admitted the restarted victim.
 	waitFor(t, 30*time.Second, func() bool {
@@ -461,29 +489,33 @@ func TestReplicatedOwnership(t *testing.T) {
 	}
 }
 
-// TestStreamSeverFallsBackToPolling is the push-dataplane degradation
-// scenario: one shard runs with event streaming disabled (a node that
-// predates the feature) and the live shard streams are severed
-// mid-sweep. The coordinator must degrade those dispatches to the
-// status poll loop, finish the sweep byte-identical to the 1-shard
-// reference, and never re-simulate a job merged before the sever —
-// i.e. falling off the stream costs latency, not work.
-func TestStreamSeverFallsBackToPolling(t *testing.T) {
+// streamsResumed sums the shards' resumed-stream counters (streams
+// opened with a nonzero cursor).
+func streamsResumed(cl *clustertest.Cluster) uint64 {
+	var n uint64
+	for _, node := range cl.Nodes {
+		n += node.Engine.Telemetry().Metrics.Counter("nbtiserved_sweep_events_resumed_total", "").Value()
+	}
+	return n
+}
+
+// TestStreamSeverResumesAtCursor is the dataplane fault scenario: every
+// shard's established connections — event streams included — are
+// severed mid-sweep until a shard serves a stream resumed from a
+// cursor. The coordinator must reopen each severed stream where it left
+// off and finish byte-identical to the 1-shard reference, with no peer
+// failure, no re-dispatch, and no job merged before the sever
+// simulated again — a sever costs a reconnect, not work.
+func TestStreamSeverResumesAtCursor(t *testing.T) {
 	spec := elasticSpec("stream-sever")
 	want := referenceResults(t, spec)
 
-	// Node 2 is built with streaming disabled, so its dispatch counts a
-	// fallback poll from the start; nodes 0 and 1 stream until severed.
-	cl := clustertest.Start(t, 3, clustertest.Options{
-		GenDelay:        50 * time.Millisecond,
-		StreamlessNodes: []int{2},
-	})
+	cl := clustertest.Start(t, 3, clustertest.Options{GenDelay: 50 * time.Millisecond})
 	c := cl.Coordinator(t)
 	h, err := c.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := len(h.Jobs())
 
 	// Wait for a live stream and at least one merged result, mid-sweep.
 	waitFor(t, time.Minute, func() bool {
@@ -491,25 +523,20 @@ func TestStreamSeverFallsBackToPolling(t *testing.T) {
 		return st.StreamsOpened >= 1 && st.JobsMerged >= 1 && h.Status().State == "running"
 	}, "no mid-sweep sever window (stream open + >= 1 merge)")
 
-	// Snapshot the protected set and the per-node run counters, then
-	// keep severing established connections — event streams included —
-	// until a dispatch demonstrably degrades to polling. The listeners
-	// stay up, so health probes (fresh connections) keep passing: no
-	// eviction, no re-route, just a stream falling back.
-	runsAtSever := make(map[string]uint64)
-	for _, n := range cl.Nodes {
-		runsAtSever[n.Name] = n.Engine.Stats().RunsExecuted
-	}
-	mergedAtSever := 0
-	for _, r := range h.Results() {
-		if r != nil && r.Err == "" && !r.Canceled {
-			mergedAtSever++
+	// Snapshot the protected set, then sever. The listeners stay up, so
+	// health probes and reopens (fresh connections) keep passing: no
+	// eviction, no re-route. Each sever gets time for the reopens to
+	// land before the next, so a sever never hits a reopen in flight.
+	merged := mergedSnapshot(t, h)
+	severAt := time.Now()
+	for streamsResumed(cl) == 0 && h.Status().State == "running" {
+		for _, n := range cl.Nodes {
+			n.SeverConnections()
 		}
-	}
-	for c.Stats().FallbackPolls == 0 && h.Status().State == "running" {
-		cl.Nodes[0].SeverConnections()
-		cl.Nodes[1].SeverConnections()
-		time.Sleep(2 * time.Millisecond)
+		deadline := time.Now().Add(200 * time.Millisecond)
+		for streamsResumed(cl) == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -523,28 +550,17 @@ func TestStreamSeverFallsBackToPolling(t *testing.T) {
 	}
 	assertByteIdentical(t, want, resultsByID(t, res))
 
+	if n := streamsResumed(cl); n < 1 {
+		t.Fatalf("no shard served a resumed stream (resumed %d); the sever window closed with the sweep", n)
+	}
 	st := c.Stats()
-	if st.StreamsOpened < 1 {
-		t.Errorf("streams opened = %d, want >= 1 (push path never engaged)", st.StreamsOpened)
+	if st.PeerFailures != 0 || st.JobsRetried != 0 {
+		t.Errorf("peer failures = %d, retried jobs = %d; a sever must cost neither", st.PeerFailures, st.JobsRetried)
 	}
-	if st.FallbackPolls < 1 {
-		t.Errorf("fallback polls = %d, want >= 1 (no dispatch degraded)", st.FallbackPolls)
+	if total := uint64(len(h.Jobs())); st.JobsMerged != total || st.EventsStreamed != total {
+		t.Errorf("merged %d (%d streamed), want all %d off the streams", st.JobsMerged, st.EventsStreamed, total)
 	}
-	if st.JobsMerged != uint64(total) {
-		t.Errorf("merged %d results, want %d", st.JobsMerged, total)
-	}
-
-	// Zero re-simulation of already-merged jobs, by counters: the sever
-	// breaks connections, not nodes, so post-sever simulations anywhere
-	// are bounded by the unmerged remainder.
-	var postSeverRuns uint64
-	for _, n := range cl.Nodes {
-		postSeverRuns += n.Engine.Stats().RunsExecuted - runsAtSever[n.Name]
-	}
-	if maxNew := uint64(total - mergedAtSever); postSeverRuns > maxNew {
-		t.Errorf("post-sever simulations = %d, want <= %d (total %d - %d merged before the sever): an already-merged job was re-simulated",
-			postSeverRuns, maxNew, total, mergedAtSever)
-	}
+	assertNotResimulated(t, cl, h.TraceID(), merged, severAt)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

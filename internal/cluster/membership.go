@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nbticache/internal/engine"
@@ -215,7 +216,7 @@ func (c *Coordinator) replayInventory(peer string) {
 	}
 	for _, h := range c.openHandles() {
 		for _, s := range h.unresolved() {
-			id := h.jobs[s].ID()
+			id := h.Jobs()[s].ID()
 			if !held[id] {
 				continue
 			}
@@ -223,7 +224,7 @@ func (c *Coordinator) replayInventory(peer string) {
 			if err != nil || !found || res == nil || res.Canceled {
 				continue
 			}
-			c.mergeResult(h, s, peer, res, true)
+			c.mergeResult(h, s, peer, res, &c.jobsRecovered)
 		}
 	}
 }
@@ -242,24 +243,28 @@ func (c *Coordinator) openHandles() []*Handle {
 }
 
 // mergeResult is the single merge path: it records a result into its
-// slot exactly once, keeps the global and per-shard counters coherent,
-// counts recovered merges (resolved from an existing cache entry — a
-// rejoin replay or a resumed sweep — rather than a fresh dispatch), and
-// kicks off the replica write-through for successful results. It
-// reports whether the slot was taken.
-func (c *Coordinator) mergeResult(h *Handle, slot int, peer string, res *engine.JobResult, recovered bool) bool {
-	if !h.record(slot, res) {
+// slot exactly once, keeps the global and per-shard counters coherent —
+// counting before the record, which can release Wait — and kicks off
+// the replica write-through for successful results. via, when non-nil,
+// also counts the merge's source: &c.eventsStreamed for a shard stream,
+// &c.jobsRecovered for an existing cache entry (a rejoin replay or a
+// resumed sweep) rather than a fresh dispatch. It reports whether the
+// slot was taken.
+func (c *Coordinator) mergeResult(h *Handle, slot int, peer string, res *engine.JobResult, via *atomic.Uint64) bool {
+	taken := h.resolve(slot, res, func() {
+		c.jobsMerged.Add(1)
+		if via != nil {
+			via.Add(1)
+		}
+		c.mu.Lock()
+		if st := c.shards[peer]; st != nil {
+			st.merged++
+		}
+		c.mu.Unlock()
+	})
+	if !taken {
 		return false
 	}
-	c.jobsMerged.Add(1)
-	if recovered {
-		c.jobsRecovered.Add(1)
-	}
-	c.mu.Lock()
-	if st := c.shards[peer]; st != nil {
-		st.merged++
-	}
-	c.mu.Unlock()
 	if res.Err == "" && !res.Canceled {
 		c.replicateResult(peer, res)
 	}
@@ -321,7 +326,7 @@ func (c *Coordinator) replicateResult(src string, res *engine.JobResult) {
 // resume for job IDs the pre-restart coordinator had already merged.
 // Reports whether the slot resolved.
 func (c *Coordinator) recoverResult(ctx context.Context, h *Handle, slot int) bool {
-	id := h.jobs[slot].ID()
+	id := h.Jobs()[slot].ID()
 	for i, peer := range c.jobCandidates(id) {
 		res, found, err := c.client.job(ctx, peer, id)
 		if err != nil || !found || res == nil || res.Canceled {
@@ -330,7 +335,7 @@ func (c *Coordinator) recoverResult(ctx context.Context, h *Handle, slot int) bo
 		if i > 0 {
 			c.replicaReads.Add(1)
 		}
-		return c.mergeResult(h, slot, peer, res, true)
+		return c.mergeResult(h, slot, peer, res, &c.jobsRecovered)
 	}
 	return false
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nbticache/internal/cluster"
 	"nbticache/internal/cluster/clustertest"
@@ -226,6 +227,19 @@ func TestClusterSpanStitching(t *testing.T) {
 
 	// Coordinator /metrics: lint-clean exposition with the cluster
 	// histogram families and the per-shard series the traffic populated.
+	// The middleware records a request's duration sample after its
+	// handler returns, which can be after the client has decoded the
+	// whole body, so wait (bounded) for the spans request's sample first.
+	spansRoute := `route="GET /v1/sweeps/{id}/spans"`
+	waitFor(t, 10*time.Second, func() bool {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return err == nil && bytes.Contains(b, []byte(spansRoute))
+	}, "no request-duration samples for the spans route")
 	text, histograms := obsLint(t, srv.URL)
 	if len(histograms) < 3 {
 		t.Fatalf("coordinator /metrics exposes %d histogram families (%v), want >= 3", len(histograms), histograms)
@@ -258,7 +272,7 @@ func TestClusterSpanStitching(t *testing.T) {
 			t.Errorf("series %q missing from coordinator /metrics", strings.TrimSpace(series))
 		}
 	}
-	if !strings.Contains(text, `route="GET /v1/sweeps/{id}/spans"`) {
+	if !strings.Contains(text, spansRoute) {
 		t.Error("no request-duration samples for the spans route")
 	}
 	// Re-scrape: collect hooks are idempotent, nothing duplicates.

@@ -34,9 +34,6 @@ type ServerConfig struct {
 	// EventHeartbeat is the merged-sweep event stream's idle heartbeat
 	// cadence; <= 0 selects httpapi.DefaultEventHeartbeat.
 	EventHeartbeat time.Duration
-	// DisableStreaming turns off GET /v1/sweeps/{id}/events (404),
-	// exactly like the node server's option.
-	DisableStreaming bool
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -64,7 +61,7 @@ type Server struct {
 	// uploadSlots is a semaphore over concurrent upload decodes.
 	uploadSlots chan struct{}
 
-	sweeps    *httpapi.Registry[*Handle]
+	sweeps    *httpapi.Registry
 	streamMet *httpapi.StreamMetrics
 }
 
@@ -78,7 +75,7 @@ func NewServer(c *Coordinator, cfg ServerConfig) *Server {
 		coord:       c,
 		cfg:         cfg,
 		uploadSlots: make(chan struct{}, cfg.MaxConcurrentUploads),
-		sweeps:      httpapi.NewRegistry[*Handle](cfg.RetainSweeps),
+		sweeps:      httpapi.NewRegistry(cfg.RetainSweeps),
 	}
 	s.streamMet = httpapi.NewStreamMetrics(c.tel.Metrics)
 	if reg := c.tel.Metrics; reg != nil {
@@ -97,10 +94,12 @@ func NewServer(c *Coordinator, cfg ServerConfig) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.submitSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.getSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.streamSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.getSweepSpans)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.cancelSweep)
+	// Status, the completion feed and cancel read the merged sweep's
+	// engine.Handle exactly as a node reads its own: results merged from
+	// any shard re-emit on the feed in merge order, in the format the
+	// shards speak.
+	s.sweeps.Mount(mux, s.cfg.EventHeartbeat, s.streamMet)
+	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.sweeps.Serve(s.getSweepSpans))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	mux.HandleFunc("POST /v1/traces", s.uploadTrace)
 	mux.HandleFunc("GET /v1/traces", s.listTraces)
@@ -136,7 +135,7 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, code, "%v", err)
 		return
 	}
-	s.sweeps.Add(h.ID, h)
+	s.sweeps.Add(h.Handle)
 
 	jobs := h.Jobs()
 	ids := make([]string, len(jobs))
@@ -150,7 +149,7 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 // the server's registry, so clients polling a pre-restart sweep ID keep
 // getting answers from the restarted coordinator.
 func (s *Server) Adopt(h *Handle) {
-	s.sweeps.Add(h.ID, h)
+	s.sweeps.Add(h.Handle)
 }
 
 // joinCluster admits (or re-admits) an announcing node to the ring —
@@ -171,45 +170,6 @@ func (s *Server) joinCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.coord.Stats()
 	httpapi.WriteJSON(w, http.StatusOK, JoinResponse{Joined: joined, Peers: st.AlivePeers})
-}
-
-// getSweep reports the merged progress and any merged results.
-func (s *Server) getSweep(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, httpapi.SweepResponse{Status: h.Status(), Jobs: h.Results()})
-}
-
-// streamSweep serves the merged sweep's completion feed — the
-// client-facing half of the push dataplane: results merged from any
-// shard (streamed or polled) re-emit here in merge order, in the same
-// SSE wire format the shards speak, so one decoder serves both hops.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.DisableStreaming {
-		httpapi.WriteError(w, http.StatusNotFound, "sweep event streaming disabled")
-		return
-	}
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	httpapi.StreamSweep(w, r, h, s.cfg.EventHeartbeat, s.streamMet)
-}
-
-// cancelSweep stops a running merged sweep (per-shard sub-sweeps are
-// cancelled best effort); merged results stay.
-func (s *Server) cancelSweep(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	h.Cancel()
-	httpapi.WriteJSON(w, http.StatusOK, h.Status())
 }
 
 // getJob proxies a job read to the content address's owning shard, then
@@ -390,12 +350,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // that fail to answer are skipped (the tree is a diagnostic, and a
 // degraded cluster is exactly when it is wanted); dead peers' fragments
 // are unreachable and simply absent.
-func (s *Server) getSweepSpans(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) getSweepSpans(w http.ResponseWriter, r *http.Request, h *engine.Handle) {
 	tid := h.TraceID()
 	if tid == "" {
 		httpapi.WriteError(w, http.StatusNotFound, "sweep %q has no trace (tracing disabled)", h.ID)

@@ -17,8 +17,8 @@ import (
 // Sweep-state blob framing: a 4-byte magic, a version byte, then the
 // JSON-encoded sweepState. The payload is JSON rather than the trace
 // blobs' packed columns because sweep state is tiny (a spec and some ID
-// lists), written once per poll tick — framing discipline matters here,
-// encoding density does not.
+// lists), written at most once per PollInterval — framing discipline
+// matters here, encoding density does not.
 const (
 	stateBlobMagic   = "NBSS"
 	stateBlobVersion = 1
@@ -107,11 +107,11 @@ func decodeSweepState(key string, blob []byte) (sweepState, error) {
 
 // persistLoop checkpoints one sweep's state to the CAS for the life of
 // the sweep: an immediate checkpoint on submit (so even an instant
-// crash can resume), then one per poll tick in which the merged count
-// moved. On finish, a deliberately cancelled or cleanly completed sweep
-// deletes its blob; a sweep settled by coordinator shutdown keeps its
-// final checkpoint — that blob is exactly what the next coordinator's
-// Resume picks up.
+// crash can resume), then one per PollInterval tick in which the merged
+// count moved. On finish, a deliberately cancelled or cleanly completed
+// sweep deletes its blob; a sweep settled by coordinator shutdown keeps
+// its final checkpoint — that blob is exactly what the next
+// coordinator's Resume picks up.
 func (c *Coordinator) persistLoop(h *Handle) {
 	defer c.wg.Done()
 	key := stateKey(h.Spec)
@@ -133,10 +133,10 @@ func (c *Coordinator) persistLoop(h *Handle) {
 		select {
 		case <-ticker.C:
 			persist()
-		case <-h.finished:
+		case <-h.Done():
 			status := h.Status()
 			switch {
-			case h.clientCancelled():
+			case h.Cancelled():
 				// The client gave the sweep up; resuming it after a
 				// restart would countermand them.
 				_ = c.stateStore.Delete(key)
@@ -220,12 +220,13 @@ func (c *Coordinator) resumeSweep(ctx context.Context, st sweepState) (*Handle, 
 			}
 		}
 	}
-	sctx, cancel := context.WithCancel(c.lifeCtx)
-	h := newHandle(st.Handle, st.Spec, jobs, sctx, cancel)
+	_, span := c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
+		"sweep_id", st.Handle, "jobs", itoa(len(jobs)), "resumed", "true")
+	h := newHandle(engine.NewHandle(c.lifeCtx, st.Handle, st.Spec, jobs, span, nil))
 	c.mu.Lock()
 	if c.closed.Load() {
 		c.mu.Unlock()
-		cancel()
+		h.Cancel()
 		return nil, fmt.Errorf("cluster: coordinator closed")
 	}
 	c.wg.Add(2) // resumeRun + persistLoop, inside the Close barrier
@@ -233,9 +234,6 @@ func (c *Coordinator) resumeSweep(ctx context.Context, st sweepState) (*Handle, 
 	c.mu.Unlock()
 	c.sweepsResumed.Add(1)
 	c.sweepsTotal.Add(1)
-	_, h.span = c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
-		"sweep_id", h.ID, "jobs", itoa(len(jobs)), "resumed", "true")
-	h.tsc = h.span.Context()
 	go c.persistLoop(h)
 	go c.resumeRun(h, st.Merged)
 	return h, nil
@@ -249,14 +247,14 @@ func (c *Coordinator) resumeSweep(ctx context.Context, st sweepState) (*Handle, 
 // without re-running the simulation anyway).
 func (c *Coordinator) resumeRun(h *Handle, merged []string) {
 	for _, id := range merged {
-		if h.ctx.Err() != nil {
+		if h.Context().Err() != nil {
 			break
 		}
 		slot, ok := h.slot[id]
 		if !ok {
 			continue
 		}
-		c.recoverResult(h.ctx, h, slot)
+		c.recoverResult(h.Context(), h, slot)
 	}
 	c.run(h) // does wg.Done and handle dereg
 }

@@ -10,7 +10,7 @@ import (
 // telemetry every handle is nil and every call on it is a no-op.
 type coordMetrics struct {
 	// dispatch times one dispatch call end to end (trace residency
-	// checks, sub-sweep submit, and the poll-merge loop).
+	// checks, sub-sweep submit, and following its completion stream).
 	dispatch *obs.Histogram // nbtiserved_cluster_dispatch_seconds
 }
 
@@ -51,9 +51,8 @@ func (c *Coordinator) registerMetrics() {
 		{"nbtiserved_cluster_replica_reads_total", "counter", "Job reads served by a ring successor instead of the primary owner.", func(s Stats) float64 { return float64(s.ReplicaReads) }},
 		{"nbtiserved_cluster_sweeps_resumed_total", "counter", "Checkpointed sweeps resumed after a coordinator restart.", func(s Stats) float64 { return float64(s.SweepsResumed) }},
 		{"nbtiserved_cluster_jobs_recovered_total", "counter", "Sweep slots resolved from an existing shard cache entry (rejoin replay or resume) instead of a fresh dispatch.", func(s Stats) float64 { return float64(s.JobsRecovered) }},
-		{"nbtiserved_cluster_shard_streams_total", "counter", "Shard completion streams consumed by the dispatch path.", func(s Stats) float64 { return float64(s.StreamsOpened) }},
+		{"nbtiserved_cluster_shard_streams_total", "counter", "Shard completion streams opened by the dispatch path (reopens after a sever included).", func(s Stats) float64 { return float64(s.StreamsOpened) }},
 		{"nbtiserved_cluster_shard_stream_events_total", "counter", "Job results merged off shard completion streams.", func(s Stats) float64 { return float64(s.EventsStreamed) }},
-		{"nbtiserved_sweep_fallback_polls_total", "counter", "Dispatches that degraded to the status-poll loop (shard without streaming, or a stream severed mid-sweep).", func(s Stats) float64 { return float64(s.FallbackPolls) }},
 	}
 	sets := make([]func(Stats), 0, len(rows))
 	for _, row := range rows {

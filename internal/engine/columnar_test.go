@@ -82,13 +82,13 @@ func FuzzColumnarBlob(f *testing.F) {
 	}
 	f.Add(info.ID, nbtc)
 	f.Add(info.ID, nbtb)
-	f.Add(info.ID, nbtc[:len(nbtc)/2])                     // torn columnar blob
-	f.Add(info.ID, nbtb[:len(nbtb)/2])                     // torn legacy blob
-	f.Add("trace-0000", nbtc)                              // misfiled
-	f.Add(info.ID, []byte("NBTC\x01"))                     // headerless columnar
-	f.Add(info.ID, []byte("NBTC\x07"))                     // unsupported version
-	f.Add(info.ID, []byte("NBTB\x01"))                     // headerless legacy
-	f.Add(info.ID, []byte("XXXX\x01junk"))                 // wrong magic
+	f.Add(info.ID, nbtc[:len(nbtc)/2])                                                           // torn columnar blob
+	f.Add(info.ID, nbtb[:len(nbtb)/2])                                                           // torn legacy blob
+	f.Add("trace-0000", nbtc)                                                                    // misfiled
+	f.Add(info.ID, []byte("NBTC\x01"))                                                           // headerless columnar
+	f.Add(info.ID, []byte("NBTC\x07"))                                                           // unsupported version
+	f.Add(info.ID, []byte("NBTB\x01"))                                                           // headerless legacy
+	f.Add(info.ID, []byte("XXXX\x01junk"))                                                       // wrong magic
 	f.Add(info.ID, append([]byte("NBTC\x01\x00\x00\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0x7f)) // absurd count claim
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		got, _, err := decodeTraceBlob(key, data)

@@ -675,27 +675,17 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 			go e.worker()
 		}
 	})
-	sctx, cancel := context.WithCancel(e.lifeCtx)
-	h := &Handle{
-		ID:       fmt.Sprintf("sweep-%d", e.sweepSeq.Add(1)),
-		Spec:     spec,
-		jobs:     jobs,
-		pinned:   pinned,
-		results:  make([]*JobResult, len(jobs)),
-		ctx:      sctx,
-		cancel:   cancel,
-		finished: make(chan struct{}),
-		events:   NewEventLog(),
-		eng:      e,
-	}
 	// The sweep span continues the submitter's trace when ctx carries one
 	// (a coordinator hop propagated via traceparent) and roots a new
 	// trace otherwise; it closes when the last job slot resolves. The
-	// span context rides on the handle, not on sctx: workers need it past
-	// the submitting request's lifetime.
-	_, h.span = e.tel.Tracer.StartSpan(ctx, "engine.sweep",
-		"sweep_id", h.ID, "jobs", fmt.Sprintf("%d", len(jobs)))
-	h.tsc = h.span.Context()
+	// span context rides on the handle, not on the handle's context:
+	// workers need it past the submitting request's lifetime.
+	id := fmt.Sprintf("sweep-%d", e.sweepSeq.Add(1))
+	_, span := e.tel.Tracer.StartSpan(ctx, "engine.sweep",
+		"sweep_id", id, "jobs", fmt.Sprintf("%d", len(jobs)))
+	// Release the sweep's trace pins before Wait returns, so a removal
+	// deferred behind this sweep is already final by then.
+	h := NewHandle(e.lifeCtx, id, spec, jobs, span, func() { e.store.unpinAll(pinned) })
 	e.sweepsTotal.Add(1)
 	e.jobsSubmitted.Add(uint64(len(jobs)))
 	now := time.Now()
@@ -744,7 +734,17 @@ func (e *Engine) execute(t *task, pc *phaseClock) {
 	// with a no-op recorder the observations are simply dropped, and the
 	// overhead guard holds that recording cost under 2%.
 	res := e.executeObserved(t, spec, pc)
-	t.h.record(t.idx, res, e)
+	// Count before recording: the record that resolves the last slot
+	// releases Wait, and a Stats read after Wait must include it.
+	switch {
+	case res.Canceled:
+		e.jobsCanceled.Add(1)
+	case res.Err != "":
+		e.jobsFailed.Add(1)
+	default:
+		e.jobsCompleted.Add(1)
+	}
+	t.h.Record(t.idx, res)
 }
 
 // failedResult wraps a job execution error as its recorded result.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -363,14 +364,7 @@ func TestSpeedup(t *testing.T) {
 	}
 	spec := SweepSpec{Benches: workload.Names(), Banks: []int{4, 8}} // 36 jobs
 
-	run := func(workers int) time.Duration {
-		e := testEngine(t, workers)
-		// Pre-generate traces so both runs time pure simulation.
-		for _, name := range workload.Names() {
-			if _, err := e.Trace(context.Background(), name, (JobSpec{Bench: name}).Geometry()); err != nil {
-				t.Fatal(err)
-			}
-		}
+	sweep := func(e *Engine) time.Duration {
 		start := time.Now()
 		h, err := e.Submit(context.Background(), spec)
 		if err != nil {
@@ -381,9 +375,22 @@ func TestSpeedup(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-
-	serial := run(1)
-	pooled := run(runtime.GOMAXPROCS(0))
+	serialEng, pooledEng := testEngine(t, 1), testEngine(t, runtime.GOMAXPROCS(0))
+	// One untimed pass each generates the traces and wakes every worker,
+	// so the timings measure pure simulation on a warm pool rather than
+	// the first wake-up of the pooled engine's extra workers. Each timed
+	// pass follows ResetRuns, so it simulates. The passes alternate and
+	// each side keeps its fastest: load from other processes only ever
+	// slows a ~1 ms pass down, so the minimum is the pool's own cost.
+	sweep(serialEng)
+	sweep(pooledEng)
+	serial, pooled := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 5 {
+		serialEng.ResetRuns()
+		serial = min(serial, sweep(serialEng))
+		pooledEng.ResetRuns()
+		pooled = min(pooled, sweep(pooledEng))
+	}
 	ratio := float64(serial) / float64(pooled)
 	t.Logf("serial %v, pooled(%d workers) %v, speedup %.2fx on %d-wide GOMAXPROCS",
 		serial, runtime.GOMAXPROCS(0), pooled, ratio, runtime.GOMAXPROCS(0))

@@ -1,8 +1,9 @@
 // Sweep completion streaming: GET /v1/sweeps/{id}/events serves a
 // sweep's per-job completions as Server-Sent Events the moment they
-// merge, replacing status polling for latency-sensitive consumers (the
-// cluster coordinator consumes this stream shard-side and re-serves the
-// same format client-side).
+// merge, replacing status polling for latency-sensitive consumers. The
+// cluster coordinator consumes this stream shard-side — it is the
+// coordinator's only dataplane — and re-serves the same format
+// client-side.
 //
 // Wire format — standard SSE framing, three frame kinds:
 //
@@ -42,20 +43,11 @@ import (
 // DefaultEventHeartbeat is the idle-stream heartbeat cadence.
 const DefaultEventHeartbeat = 15 * time.Second
 
-// maxEventLine bounds one SSE line on the reading side — above the
-// largest job-result payload the poll path would carry (putJob caps
-// result bodies at 8 MiB), so a corrupt or hostile stream cannot grow
-// an unbounded buffer.
+// maxEventLine bounds one SSE line on the reading side — at the
+// largest job-result payload a node admits (putJob caps result bodies
+// at 8 MiB), so a corrupt or hostile stream cannot grow an unbounded
+// buffer.
 const maxEventLine = 8 << 20
-
-// SweepStream is the handle surface the event stream serves: both
-// engine.Handle (node) and cluster.Handle (coordinator) implement it,
-// which is what lets the coordinator re-serve the stitched feed in the
-// exact format its shards speak.
-type SweepStream interface {
-	Status() engine.SweepStatus
-	EventsFrom(from int) (backlog []engine.SweepEvent, live <-chan engine.SweepEvent, cancel func())
-}
 
 // StreamMetrics counts the streaming surface's activity; handles are
 // nil-safe so a telemetry-free server streams unchanged.
@@ -126,9 +118,9 @@ func EncodeDoneFrame(st engine.SweepStatus) []byte {
 var heartbeatFrame = []byte(": hb\n\n")
 
 // StreamSweep serves h's completion feed on w until the sweep finishes
-// or the client disconnects. Shared by the node server and the cluster
-// coordinator server so the two streaming surfaces speak one format.
-func StreamSweep(w http.ResponseWriter, r *http.Request, h SweepStream, heartbeat time.Duration, met *StreamMetrics) {
+// or the client disconnects. Registry.Mount serves it for the node and
+// the coordinator alike, so the two streaming surfaces speak one format.
+func StreamSweep(w http.ResponseWriter, r *http.Request, h *engine.Handle, heartbeat time.Duration, met *StreamMetrics) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusNotImplemented, "response writer cannot stream (no flush support)")
@@ -338,18 +330,4 @@ func (er *EventReader) Next() (EventFrame, error) {
 			}
 		}
 	}
-}
-
-// streamSweep serves GET /v1/sweeps/{id}/events on the node.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.DisableStreaming {
-		WriteError(w, http.StatusNotFound, "sweep event streaming disabled")
-		return
-	}
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	StreamSweep(w, r, h, s.cfg.EventHeartbeat, s.streamMet)
 }

@@ -6,14 +6,11 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
-	"nbticache/internal/cache"
 	"nbticache/internal/engine"
-	"nbticache/internal/workload"
 )
 
 // TestEventFrameCodec pins the SSE wire format both ways: encoded job
@@ -207,37 +204,6 @@ func TestSweepEventStream(t *testing.T) {
 
 	if code := getJSON(t, ts.URL+"/v1/sweeps/sweep-999/events", nil); code != http.StatusNotFound {
 		t.Errorf("unknown sweep stream status %d, want 404", code)
-	}
-}
-
-// TestStreamingDisabled pins the opt-out: with DisableStreaming the
-// events route 404s — the signal that tells a streaming consumer (the
-// coordinator included) to fall back to status polling.
-func TestStreamingDisabled(t *testing.T) {
-	eng, err := engine.New(engine.Options{
-		Workers: 2,
-		Gen: func(g cache.Geometry) workload.GenParams {
-			return workload.GenParams{Geometry: g, Phases: 16, AccessesPerPhase: 64}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(NewServer(eng, Config{DisableStreaming: true}).Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(`{"benches":["sha"],"banks":[2]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if code := getJSON(t, ts.URL+"/v1/sweeps/"+sub.ID+"/events", nil); code != http.StatusNotFound {
-		t.Errorf("disabled stream status %d, want 404", code)
 	}
 }
 

@@ -34,6 +34,27 @@ func scrapeMetrics(t *testing.T, base string) []byte {
 	return body
 }
 
+// scrapeUntil scrapes /metrics until every want substring appears,
+// failing after a bounded wait, and returns that exposition. The
+// middleware records a request's duration sample after its handler
+// returns, which can be after the client has decoded the whole body,
+// so a scrape right behind a request can precede its sample.
+func scrapeUntil(t *testing.T, base string, want ...string) []byte {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body := scrapeMetrics(t, base)
+		missing := false
+		for _, w := range want {
+			missing = missing || !bytes.Contains(body, []byte(w))
+		}
+		if !missing || time.Now().After(deadline) {
+			return body
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // lintExposition runs the obs conformance linter and enumerates the
 // TYPE lines by type, failing the test on any violation.
 func lintExposition(t *testing.T, body []byte) (histograms []string) {
@@ -88,7 +109,8 @@ func TestMetricsConformance(t *testing.T) {
 		t.Fatalf("unmatched route status %d", code)
 	}
 
-	exposition := scrapeMetrics(t, ts.URL)
+	sweepRoute, unmatchedRoute := `route="GET /v1/sweeps/{id}"`, `route="unmatched"`
+	exposition := scrapeUntil(t, ts.URL, sweepRoute, unmatchedRoute)
 	histograms := lintExposition(t, exposition)
 
 	if len(histograms) < 3 {
@@ -125,10 +147,10 @@ func TestMetricsConformance(t *testing.T) {
 		}
 	}
 	// The middleware labeled both a real route and the 404 fallback.
-	if !strings.Contains(text, `route="GET /v1/sweeps/{id}"`) {
+	if !strings.Contains(text, sweepRoute) {
 		t.Error("no request-duration samples for GET /v1/sweeps/{id}")
 	}
-	if !strings.Contains(text, `route="unmatched"`) {
+	if !strings.Contains(text, unmatchedRoute) {
 		t.Error("no request-duration samples for the unmatched-route label")
 	}
 

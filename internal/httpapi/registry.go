@@ -1,35 +1,30 @@
 package httpapi
 
 import (
+	"net/http"
 	"sync"
+	"time"
 
 	"nbticache/internal/engine"
 )
 
-// sweepHandle is the little a retention registry needs from a sweep:
-// both engine.Handle (node mode) and the cluster coordinator's merged
-// handle satisfy it.
-type sweepHandle interface {
-	Status() engine.SweepStatus
-}
-
 // Registry retains sweep handles by ID with bounded, oldest-first
-// eviction of finished sweeps. It is the one retention implementation
-// shared by the node server and the cluster coordinator server, so the
-// eviction policy cannot diverge between the two surfaces. Safe for
-// concurrent use.
-type Registry[H sweepHandle] struct {
+// eviction of finished sweeps, and serves the sweep routes the node
+// server and the cluster coordinator server share, so neither the
+// eviction policy nor those handlers can diverge between the two
+// surfaces. Safe for concurrent use.
+type Registry struct {
 	max int
 
 	mu      sync.Mutex
-	m       map[string]H
+	m       map[string]*engine.Handle
 	order   []string // submission order, the eviction queue
 	evicted uint64
 }
 
 // NewRegistry builds a registry retaining up to max finished sweeps.
-func NewRegistry[H sweepHandle](max int) *Registry[H] {
-	return &Registry[H]{max: max, m: make(map[string]H)}
+func NewRegistry(max int) *Registry {
+	return &Registry{max: max, m: make(map[string]*engine.Handle)}
 }
 
 // Add registers a just-submitted handle and evicts the oldest finished
@@ -39,9 +34,10 @@ func NewRegistry[H sweepHandle](max int) *Registry[H] {
 // even if already finished — a fast all-cache-hit sweep can be "done"
 // here, and evicting it would hand the client an ID that instantly
 // 404s.
-func (r *Registry[H]) Add(id string, h H) {
+func (r *Registry) Add(h *engine.Handle) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	id := h.ID
 	r.m[id] = h
 	r.order = append(r.order, id)
 	if len(r.m) <= r.max {
@@ -64,7 +60,7 @@ func (r *Registry[H]) Add(id string, h H) {
 }
 
 // Lookup resolves a retained handle.
-func (r *Registry[H]) Lookup(id string) (H, bool) {
+func (r *Registry) Lookup(id string) (*engine.Handle, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.m[id]
@@ -73,8 +69,39 @@ func (r *Registry[H]) Lookup(id string) (H, bool) {
 
 // Counts reports the resident handle count and the running eviction
 // total, for /metrics.
-func (r *Registry[H]) Counts() (retained int, evicted uint64) {
+func (r *Registry) Counts() (retained int, evicted uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.m), r.evicted
+}
+
+// Serve adapts a per-sweep handler to a route with an {id} wildcard:
+// the retained sweep it names is looked up, and an unknown ID answers
+// 404.
+func (r *Registry) Serve(serve func(http.ResponseWriter, *http.Request, *engine.Handle)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		h, ok := r.Lookup(req.PathValue("id"))
+		if !ok {
+			WriteError(w, http.StatusNotFound, "no sweep %q", req.PathValue("id"))
+			return
+		}
+		serve(w, req, h)
+	}
+}
+
+// Mount serves the retained sweeps on mux: GET /v1/sweeps/{id} reports
+// progress and the results resolved so far, GET /v1/sweeps/{id}/events
+// streams completions (heartbeat <= 0 selects DefaultEventHeartbeat),
+// and DELETE /v1/sweeps/{id} cancels, keeping resolved results.
+func (r *Registry) Mount(mux *http.ServeMux, heartbeat time.Duration, met *StreamMetrics) {
+	mux.HandleFunc("GET /v1/sweeps/{id}", r.Serve(func(w http.ResponseWriter, _ *http.Request, h *engine.Handle) {
+		WriteJSON(w, http.StatusOK, SweepResponse{Status: h.Status(), Jobs: h.Results()})
+	}))
+	mux.HandleFunc("GET /v1/sweeps/{id}/events", r.Serve(func(w http.ResponseWriter, req *http.Request, h *engine.Handle) {
+		StreamSweep(w, req, h, heartbeat, met)
+	}))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", r.Serve(func(w http.ResponseWriter, _ *http.Request, h *engine.Handle) {
+		h.Cancel()
+		WriteJSON(w, http.StatusOK, h.Status())
+	}))
 }

@@ -45,10 +45,6 @@ type Config struct {
 	// (SSE comments that keep proxies from reaping a quiet stream);
 	// <= 0 selects DefaultEventHeartbeat.
 	EventHeartbeat time.Duration
-	// DisableStreaming turns off GET /v1/sweeps/{id}/events (the route
-	// answers 404), modelling a node that predates the streaming
-	// surface; clients are expected to degrade to status polling.
-	DisableStreaming bool
 }
 
 // Defaults substituted for non-positive Config fields.
@@ -87,7 +83,7 @@ type Server struct {
 	// uploadSlots is a semaphore over concurrent upload decodes.
 	uploadSlots chan struct{}
 
-	sweeps    *Registry[*engine.Handle]
+	sweeps    *Registry
 	streamMet *StreamMetrics
 }
 
@@ -102,7 +98,7 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 		cfg:         cfg,
 		tel:         eng.Telemetry(),
 		uploadSlots: make(chan struct{}, cfg.MaxConcurrentUploads),
-		sweeps:      NewRegistry[*engine.Handle](cfg.RetainSweeps),
+		sweeps:      NewRegistry(cfg.RetainSweeps),
 	}
 	s.streamMet = NewStreamMetrics(s.tel.Metrics)
 	if reg := s.tel.Metrics; reg != nil {
@@ -121,10 +117,8 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.submitSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.getSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.streamSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.getSweepSpans)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.cancelSweep)
+	s.sweeps.Mount(mux, s.cfg.EventHeartbeat, s.streamMet)
+	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.sweeps.Serve(s.getSweepSpans))
 	mux.HandleFunc("GET /v1/spans/{traceid}", s.getTraceSpans)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	mux.HandleFunc("PUT /v1/jobs/{id}", s.putJob)
@@ -202,7 +196,7 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	s.sweeps.Add(h.ID, h)
+	s.sweeps.Add(h)
 
 	jobs := h.Jobs()
 	ids := make([]string, len(jobs))
@@ -212,32 +206,11 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: h.ID, Total: len(jobs), JobIDs: ids})
 }
 
-// SweepResponse is the poll view: live status always, per-job results
-// for every slot that has resolved so far.
+// SweepResponse is the GET /v1/sweeps/{id} view: live status always,
+// per-job results for every slot that has resolved so far.
 type SweepResponse struct {
 	Status engine.SweepStatus  `json:"status"`
 	Jobs   []*engine.JobResult `json:"jobs"`
-}
-
-// getSweep reports progress and any resolved results.
-func (s *Server) getSweep(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	WriteJSON(w, http.StatusOK, SweepResponse{Status: h.Status(), Jobs: h.Results()})
-}
-
-// cancelSweep stops a running sweep; completed jobs stay cached.
-func (s *Server) cancelSweep(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	h.Cancel()
-	WriteJSON(w, http.StatusOK, h.Status())
 }
 
 // UploadResponse acknowledges a trace upload. Created distinguishes a
@@ -496,12 +469,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // getSweepSpans serves the recorded span tree of one resident sweep:
 // the sweep span, one job span per executed slot, and the per-phase
 // children under each.
-func (s *Server) getSweepSpans(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.sweeps.Lookup(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) getSweepSpans(w http.ResponseWriter, _ *http.Request, h *engine.Handle) {
 	tid := h.TraceID()
 	if tid == "" {
 		WriteError(w, http.StatusNotFound, "sweep %q has no trace (tracing disabled)", h.ID)
