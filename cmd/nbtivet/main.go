@@ -1,6 +1,6 @@
 // Command nbtivet runs the repo's custom invariant analyzers (see
 // internal/analysis): detmap, allocbound, lockedio, senterr, nopsafe,
-// kernelpure, soalayout, ringchurn, streamflush. It works in two
+// kernelpure, ringchurn, streamflush. It works in two
 // modes:
 //
 // Standalone, over package patterns (exit 1 on findings):

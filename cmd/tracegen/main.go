@@ -94,6 +94,6 @@ func run(list bool, bench string, sizeKB, lineB, phases, perPh int, format, out,
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}
-	fmt.Fprintf(os.Stderr, "generated %d accesses over %d cycles\n", tr.Len(), tr.Cycles)
+	fmt.Fprintf(os.Stderr, "generated %d accesses over %d cycles\n", tr.Len(), tr.Span)
 	return nil
 }

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trace: %s, %d accesses over %d cycles\n", tr.Name, tr.Len(), tr.Cycles)
+	fmt.Printf("trace: %s, %d accesses over %d cycles\n", tr.Name, tr.Len(), tr.Span)
 
 	res, err := pc.Run(tr)
 	if err != nil {

@@ -24,9 +24,10 @@
 //     nil-receiver no-op guard.
 //   - kernelpure: wall-clock, randomness, map iteration or goroutine
 //     spawns inside the hot kernel packages (core, cache, pmu, index).
-//   - soalayout: per-element trace.Access construction or row-slice
-//     field gathers inside loops in core, cache, and pmu — the hidden
-//     transpose the columnar trace path (PR 8) exists to eliminate.
+//   - ringchurn: Ring.Add/Remove outside the guarded mutation API, so
+//     live-ring churn keeps its bookkeeping.
+//   - streamflush: streaming handlers that skip a Flush after an event
+//     write, or write to the stream while a mutex is held.
 //
 // Findings are suppressed per line with an explanation:
 //

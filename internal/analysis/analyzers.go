@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		Senterr,
 		Nopsafe,
 		Kernelpure,
-		Soalayout,
 		Ringchurn,
 		Streamflush,
 	}

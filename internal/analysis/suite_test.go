@@ -35,10 +35,6 @@ func TestKernelpure(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.Kernelpure}, "kernelpure")
 }
 
-func TestSoalayout(t *testing.T) {
-	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.Soalayout}, "soalayout")
-}
-
 func TestRingchurn(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{analysis.Ringchurn}, "ringchurn")
 }

@@ -223,7 +223,7 @@ func buildTrace(name string, n int, seed int64) *trace.Trace {
 		cycle += uint64(rng.Intn(9) + 1)
 		tr.Append(cycle, uint64(rng.Intn(1<<14)), trace.Kind(rng.Intn(2)))
 	}
-	tr.Cycles = cycle + 50
+	tr.Span = cycle + 50
 	return tr
 }
 

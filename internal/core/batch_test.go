@@ -62,7 +62,7 @@ func oracleTrace(seed int64, n int, g cache.Geometry) *trace.Trace {
 		if rng.Intn(3) == 0 {
 			kind = trace.Write
 		}
-		tr.Accesses = append(tr.Accesses, trace.Access{Cycle: cycle, Addr: addr, Kind: kind})
+		tr.Append(cycle, addr, kind)
 		switch rng.Intn(8) {
 		case 0: // long gap past any realistic breakeven
 			cycle += uint64(1000 + rng.Intn(5000))
@@ -71,7 +71,7 @@ func oracleTrace(seed int64, n int, g cache.Geometry) *trace.Trace {
 			cycle += uint64(1 + rng.Intn(4))
 		}
 	}
-	tr.Cycles = cycle + uint64(1+rng.Intn(2000))
+	tr.Span = cycle + uint64(1+rng.Intn(2000))
 	return tr
 }
 
@@ -84,9 +84,8 @@ func runScalarOracle(t testing.TB, cfg Config, tr *trace.Trace) *RunResult {
 		t.Fatal(err)
 	}
 	var hits uint64
-	for i := range tr.Accesses {
-		a := &tr.Accesses[i]
-		hit, bank, err := pc.Access(a.Cycle, a.Addr, a.Kind)
+	for i, c := range tr.Cycles {
+		hit, bank, err := pc.Access(c, tr.Addrs[i], tr.Kinds[i])
 		if err != nil {
 			t.Fatalf("scalar access %d: %v", i, err)
 		}
@@ -97,7 +96,7 @@ func runScalarOracle(t testing.TB, cfg Config, tr *trace.Trace) *RunResult {
 			hits++
 		}
 	}
-	if err := pc.Finish(tr.Cycles); err != nil {
+	if err := pc.Finish(tr.Span); err != nil {
 		t.Fatal(err)
 	}
 	res, err := pc.Result(tr.Name, hits)
@@ -113,7 +112,7 @@ func runBatchedOracle(t testing.TB, cfg Config, tr *trace.Trace, batchSize int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pc.RunBuffered(tr, NewBatch(batchSize))
+	res, err := pc.RunColumnsUnchecked(tr, NewBatch(batchSize))
 	if err != nil {
 		t.Fatalf("batched run (batch %d): %v", batchSize, err)
 	}
@@ -177,12 +176,7 @@ func TestAccessBatchRandomSplits(t *testing.T) {
 	cfg := Config{Geometry: g, Banks: 4, Policy: index.KindProbing, UpdateEvery: 37}
 	tr := oracleTrace(99, 3000, g)
 	n := tr.Len()
-	cycles := make([]uint64, n)
-	addrs := make([]uint64, n)
-	kinds := make([]trace.Kind, n)
-	for i, a := range tr.Accesses {
-		cycles[i], addrs[i], kinds[i] = a.Cycle, a.Addr, a.Kind
-	}
+	cycles, addrs, kinds := tr.Cycles, tr.Addrs, tr.Kinds
 
 	whole, err := New(cfg)
 	if err != nil {
@@ -192,7 +186,7 @@ func TestAccessBatchRandomSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := whole.Finish(tr.Cycles); err != nil {
+	if err := whole.Finish(tr.Span); err != nil {
 		t.Fatal(err)
 	}
 	want, err := whole.Result(tr.Name, wantHits)
@@ -219,7 +213,7 @@ func TestAccessBatchRandomSplits(t *testing.T) {
 			}
 			i = j
 		}
-		if err := pc.Finish(tr.Cycles); err != nil {
+		if err := pc.Finish(tr.Span); err != nil {
 			t.Fatal(err)
 		}
 		got, err := pc.Result(tr.Name, hits)
@@ -270,17 +264,17 @@ func TestAccessBatchValidation(t *testing.T) {
 	if _, err := pc.AccessBatch([]uint64{10, 5}, []uint64{0x40, 0x80}, []trace.Kind{trace.Read, trace.Read}); err == nil {
 		t.Fatal("unordered batch accepted")
 	}
-	bad := &trace.Trace{Name: "bad", Cycles: 100}
+	bad := &trace.Trace{Name: "bad"}
 	for i := 0; i < 10; i++ {
-		bad.Accesses = append(bad.Accesses, trace.Access{Cycle: uint64(20 + i), Addr: 0x40})
+		bad.Append(uint64(20+i), 0x40, trace.Read)
 	}
-	bad.Accesses[7].Cycle = 1 // out of order at index 7; Validate would catch it, the kernel must too
+	bad.Cycles[7] = 1 // out of order at index 7; Validate would catch it, the kernel must too
 	fresh, err := New(Config{Geometry: cache.Geometry{Size: 1024, LineSize: 16, Ways: 1, AddressBits: 32}, Banks: 4, Policy: index.KindProbing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hits uint64
-	h, applied, kerr := fresh.accessBatch(cyclesOf(bad), addrsOf(bad), kindsOf(bad))
+	h, applied, kerr := fresh.accessBatch(bad.Cycles, bad.Addrs, bad.Kinds)
 	hits = h
 	if kerr == nil || applied != 7 {
 		t.Fatalf("unordered at 7: applied=%d err=%v hits=%d", applied, kerr, hits)
@@ -292,30 +286,6 @@ func TestAccessBatchValidation(t *testing.T) {
 	if _, _, err := pc.Access(10, 0x40, trace.Read); err != nil {
 		t.Fatalf("in-order access after partial batch: %v", err)
 	}
-}
-
-func cyclesOf(tr *trace.Trace) []uint64 {
-	out := make([]uint64, tr.Len())
-	for i, a := range tr.Accesses {
-		out[i] = a.Cycle
-	}
-	return out
-}
-
-func addrsOf(tr *trace.Trace) []uint64 {
-	out := make([]uint64, tr.Len())
-	for i, a := range tr.Accesses {
-		out[i] = a.Addr
-	}
-	return out
-}
-
-func kindsOf(tr *trace.Trace) []trace.Kind {
-	out := make([]trace.Kind, tr.Len())
-	for i, a := range tr.Accesses {
-		out[i] = a.Kind
-	}
-	return out
 }
 
 // FuzzBatchEquivalence lets the fuzzer pick geometry, policy, update
@@ -364,7 +334,7 @@ func TestFusedGeneralEquivalence(t *testing.T) {
 				if !fused.fusable {
 					t.Fatal("direct-mapped config not fusable")
 				}
-				fres, err := fused.RunBuffered(tr, nil)
+				fres, err := fused.Run(tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -373,7 +343,7 @@ func TestFusedGeneralEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				general.forceGeneral = true
-				gres, err := general.RunBuffered(tr, nil)
+				gres, err := general.Run(tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -390,7 +360,7 @@ func TestFusedGeneralPartialApplication(t *testing.T) {
 	g := cache.Geometry{Size: 1024, LineSize: 16, Ways: 1, AddressBits: 32}
 	cfg := Config{Geometry: g, Banks: 4, Policy: index.KindProbing, UpdateEvery: 5}
 	bad := oracleTrace(7, 200, g)
-	bad.Accesses[123].Cycle = 0 // out of order at index 123
+	bad.Cycles[123] = 0 // out of order at index 123
 
 	run := func(force bool) (hits uint64, applied int, err error, after error) {
 		pc, nerr := New(cfg)
@@ -398,10 +368,10 @@ func TestFusedGeneralPartialApplication(t *testing.T) {
 			t.Fatal(nerr)
 		}
 		pc.forceGeneral = force
-		hits, applied, err = pc.accessBatch(cyclesOf(bad), addrsOf(bad), kindsOf(bad))
+		hits, applied, err = pc.accessBatch(bad.Cycles, bad.Addrs, bad.Kinds)
 		// Probe the post-error cursor: the last applied cycle must still
 		// be enforced.
-		_, _, after = pc.Access(bad.Accesses[122].Cycle-1, 0x40, trace.Read)
+		_, _, after = pc.Access(bad.Cycles[122]-1, 0x40, trace.Read)
 		return
 	}
 	fh, fa, ferr, fafter := run(false)
@@ -423,10 +393,10 @@ func TestFusedGeneralPartialApplication(t *testing.T) {
 	}
 }
 
-// TestRunColumnsEquivalence is the columnar↔row oracle: driving the
-// columnar form through RunColumns must be bit-identical to driving the
-// row form through RunBuffered, across batch sizes and update cadences,
-// for both kernels.
+// TestRunColumnsEquivalence is the checked/unchecked oracle: the
+// unchecked entry point at any batch size must be bit-identical to the
+// validating Run on valid input (the only input it admits), across
+// update cadences, for both kernels (direct-mapped and 2-way).
 func TestRunColumnsEquivalence(t *testing.T) {
 	g := cache.Geometry{Size: 16 * 1024, LineSize: 16, Ways: 1, AddressBits: 32}
 	assoc := cache.Geometry{Size: 16 * 1024, LineSize: 16, Ways: 2, AddressBits: 32}
@@ -437,28 +407,15 @@ func TestRunColumnsEquivalence(t *testing.T) {
 				cfg := Config{Geometry: geom, Banks: 4, Policy: index.KindProbing, UpdateEvery: ue}
 				seed++
 				tr := oracleTrace(seed, 5000, geom)
-				rows := runBatchedOracle(t, cfg, tr, bs)
 				pc, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cols, err := pc.RunColumns(trace.FromRows(tr), NewBatch(bs))
+				checked, err := pc.Run(tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireIdentical(t, "columns vs rows", rows, cols)
-
-				// The unchecked entry point must be bit-identical to the
-				// checked one on valid input (the only input it admits).
-				pcU, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				uncheck, err := pcU.RunColumnsUnchecked(trace.FromRows(tr), NewBatch(bs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, "unchecked vs checked", cols, uncheck)
+				requireIdentical(t, "unchecked vs checked", checked, runBatchedOracle(t, cfg, tr, bs))
 			}
 		}
 	}
@@ -474,16 +431,16 @@ func TestRunColumnsUncheckedLengthParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := trace.FromRows(oracleTrace(77, 100, g))
+	cols := oracleTrace(77, 100, g)
 	cols.Kinds = cols.Kinds[:len(cols.Kinds)-1]
 	if _, err := pc.RunColumnsUnchecked(cols, nil); err == nil {
 		t.Fatal("mismatched column lengths accepted")
 	}
 }
 
-// TestRunBufferedReuse pins buffer reuse across runs: the same Batch
-// serves two different simulations without cross-contamination.
-func TestRunBufferedReuse(t *testing.T) {
+// TestBatchReuseAcrossRuns pins scratch reuse across runs: the same
+// Batch serves two different simulations without cross-contamination.
+func TestBatchReuseAcrossRuns(t *testing.T) {
 	g := cache.Geometry{Size: 8 * 1024, LineSize: 16, Ways: 1, AddressBits: 32}
 	cfg := Config{Geometry: g, Banks: 4, Policy: index.KindProbing}
 	buf := NewBatch(128)
@@ -491,12 +448,12 @@ func TestRunBufferedReuse(t *testing.T) {
 	tr2 := oracleTrace(8, 900, g)
 
 	pcA, _ := New(cfg)
-	resA, err := pcA.RunBuffered(tr1, buf)
+	resA, err := pcA.RunColumnsUnchecked(tr1, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pcB, _ := New(cfg)
-	resB, err := pcB.RunBuffered(tr2, buf)
+	resB, err := pcB.RunColumnsUnchecked(tr2, buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,8 +157,8 @@ type PartitionedCache struct {
 	// Batch scratch, reused across AccessBatch calls: decoded regions
 	// and banks for the PMU feeds, and the flat per-bank address scatter
 	// for the cache sub-batches — the general path's working set (the
-	// fused path needs none of it). RunBuffered and RunColumns lend a
-	// pooled Batch's columns here so engine-driven simulations allocate
+	// fused path needs none of it). Run and RunColumnsUnchecked lend a
+	// pooled Batch's scratch here so engine-driven simulations allocate
 	// none of it.
 	regionBuf  []int32
 	bankBuf    []int32

@@ -273,8 +273,8 @@ func TestRunResultAccounting(t *testing.T) {
 	if res.Hits+res.Misses != uint64(tr.Len()) {
 		t.Errorf("hits+misses = %d, want %d", res.Hits+res.Misses, tr.Len())
 	}
-	if res.SpanCycles != tr.Cycles {
-		t.Errorf("span = %d, want %d", res.SpanCycles, tr.Cycles)
+	if res.SpanCycles != tr.Span {
+		t.Errorf("span = %d, want %d", res.SpanCycles, tr.Span)
 	}
 	if len(res.RegionStats) != 4 || len(res.BankStats) != 4 {
 		t.Fatal("wrong stat vector lengths")
@@ -384,10 +384,10 @@ func TestResultBeforeFinishRejected(t *testing.T) {
 
 func TestRunRejectsBadTraces(t *testing.T) {
 	pc, _ := New(testConfig())
-	if _, err := pc.Run(&trace.Trace{Name: "empty", Cycles: 10}); err == nil {
+	if _, err := pc.Run(&trace.Trace{Name: "empty", Span: 10}); err == nil {
 		t.Error("empty trace accepted")
 	}
-	bad := &trace.Trace{Accesses: []trace.Access{{Cycle: 5}, {Cycle: 1}}, Cycles: 10}
+	bad := &trace.Trace{Cycles: []uint64{5, 1}, Addrs: []uint64{0, 0}, Kinds: []trace.Kind{trace.Read, trace.Read}, Span: 10}
 	if _, err := pc.Run(bad); err == nil {
 		t.Error("unordered trace accepted")
 	}

@@ -83,146 +83,92 @@ func (r *RunResult) AverageIdleness() float64 {
 // in cache.
 const DefaultBatchSize = 4096
 
-// Batch is a reusable chunk of batch-kernel input buffers in the layout
-// AccessBatch consumes (split cycle/address/kind columns). Drivers that
-// simulate many traces — the engine's worker pool above all — allocate a
-// handful and reuse them across jobs instead of allocating per run.
+// Batch is the batch kernel's reusable scratch: the decoded regions and
+// banks and the per-bank address scatter the general kernel works in,
+// one chunk long. Drivers that simulate many traces — the engine's
+// worker pool above all — allocate a handful and reuse them across jobs
+// instead of allocating per run.
 type Batch struct {
-	cycles []uint64
-	addrs  []uint64
-	kinds  []trace.Kind
-	// Kernel scratch, lent to the PartitionedCache by RunBuffered so a
-	// pooled Batch carries the whole per-run working set: decoded
-	// regions/banks and the per-bank address scatter.
 	regions []int32
 	banks   []int32
 	scatter []uint64
 }
 
-// NewBatch returns a batch buffer for chunks of the given size; size < 1
+// NewBatch returns scratch for chunks of the given size; size < 1
 // selects DefaultBatchSize.
 func NewBatch(size int) *Batch {
 	if size < 1 {
 		size = DefaultBatchSize
 	}
 	return &Batch{
-		cycles:  make([]uint64, size),
-		addrs:   make([]uint64, size),
-		kinds:   make([]trace.Kind, size),
 		regions: make([]int32, size),
 		banks:   make([]int32, size),
 		scatter: make([]uint64, size),
 	}
 }
 
-// Run drives a full trace through the cache, finishes it at the trace
-// span, and assembles the result, including energy against the monolithic
-// unmanaged baseline.
+// Run validates a trace, drives it through the cache, finishes it at
+// the trace span, and assembles the result, including energy against
+// the monolithic unmanaged baseline.
 func (pc *PartitionedCache) Run(tr *trace.Trace) (*RunResult, error) {
-	return pc.RunBuffered(tr, nil)
-}
-
-// RunBuffered is Run with a caller-owned chunk buffer, reusable across
-// runs (nil allocates a DefaultBatchSize one). The trace is fed to the
-// batch kernel in buffer-sized chunks. The cache borrows the buffer's
-// scratch for its own lifetime, so hand the buffer to another run only
-// after this cache is finished with (which Run guarantees: it either
-// finishes the cache or returns an error that ends the simulation).
-func (pc *PartitionedCache) RunBuffered(tr *trace.Trace, buf *Batch) (*RunResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if tr.Len() == 0 {
+	return pc.run(tr, nil)
+}
+
+// RunColumnsUnchecked is Run without the O(n) re-validation pass, for
+// callers holding traces already validated at creation (a decoded blob,
+// an admitted upload, a generated trace), and with caller-owned kernel
+// scratch, reusable across runs (nil allocates one). Immutable traces
+// run many times pay validation once instead of per run — on a full
+// sweep the pass was ~10% of kernel time, re-checking what the decoders
+// had already proven. The kernel still enforces everything that matters
+// dynamically: column length parity here, cycle ordering and the span
+// bound in the walk itself. Only kind validity is trusted — an invalid
+// kind tallies as a read instead of erroring — so traces of unproven
+// provenance must go through Run.
+//
+// The columns feed the batch kernel by slicing: each chunk is three
+// subslices, with no per-access copy. buf sizes the chunking and lends
+// the cache its scratch for the cache's lifetime, so hand it to another
+// run only after this cache is finished with.
+func (pc *PartitionedCache) RunColumnsUnchecked(tr *trace.Trace, buf *Batch) (*RunResult, error) {
+	if len(tr.Addrs) != len(tr.Cycles) || len(tr.Kinds) != len(tr.Cycles) {
+		return nil, fmt.Errorf("core: column length mismatch: %d cycles, %d addrs, %d kinds",
+			len(tr.Cycles), len(tr.Addrs), len(tr.Kinds))
+	}
+	return pc.run(tr, buf)
+}
+
+func (pc *PartitionedCache) run(tr *trace.Trace, buf *Batch) (*RunResult, error) {
+	n := tr.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
-	if buf == nil || len(buf.cycles) == 0 {
+	if buf == nil || len(buf.regions) == 0 {
 		buf = NewBatch(DefaultBatchSize)
 	}
-	size := len(buf.cycles)
+	size := len(buf.regions)
 	// Lend the buffer's kernel scratch to the cache: every chunk this
 	// run feeds AccessBatch fits it, so the kernel allocates nothing.
 	if cap(pc.regionBuf) < size {
 		pc.regionBuf, pc.bankBuf, pc.scatterBuf = buf.regions, buf.banks, buf.scatter
 	}
-	acc := tr.Accesses
 	var hits uint64
-	for start := 0; start < len(acc); start += size {
-		chunk := acc[start:min(start+size, len(acc))]
-		//nbtivet:ignore soalayout RunBuffered IS the row-compatibility API; this transpose is its whole job, columnar callers use RunColumns
-		for k := range chunk {
-			buf.cycles[k] = chunk[k].Cycle
-			buf.addrs[k] = chunk[k].Addr
-			buf.kinds[k] = chunk[k].Kind
-		}
-		h, applied, err := pc.accessBatch(buf.cycles[:len(chunk)], buf.addrs[:len(chunk)], buf.kinds[:len(chunk)])
+	for start := 0; start < n; start += size {
+		end := min(start+size, n)
+		h, applied, err := pc.accessBatch(tr.Cycles[start:end], tr.Addrs[start:end], tr.Kinds[start:end])
 		hits += h
 		if err != nil {
 			// applied accesses succeeded; start+applied is the offender.
 			return nil, fmt.Errorf("core: access %d: %w", start+applied, err)
 		}
 	}
-	if err := pc.Finish(tr.Cycles); err != nil {
+	if err := pc.Finish(tr.Span); err != nil {
 		return nil, err
 	}
 	return pc.Result(tr.Name, hits)
-}
-
-// RunColumns drives a columnar trace through the cache — the native
-// hot path. The columns ARE the kernel's input layout, so each chunk is
-// three subslices handed straight to the batch kernel: no per-access
-// copy, no transposition, nothing materialised. buf (nil allocates one)
-// only sizes the chunking and lends the general kernel its scatter
-// scratch; the fused kernel needs neither.
-func (pc *PartitionedCache) RunColumns(c *trace.Columns, buf *Batch) (*RunResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return pc.runColumns(c, buf)
-}
-
-// RunColumnsUnchecked is RunColumns without the O(n) re-validation
-// pass, for callers holding columns already validated at creation (a
-// decoded blob, a transposed validated trace). Immutable columns run
-// many times pay validation once instead of per run — on a full sweep
-// the pass was ~10% of kernel time, re-checking what the decoders had
-// already proven. The kernel still enforces everything that matters
-// dynamically: column length parity here, cycle ordering and the span
-// bound in the walk itself. Only kind validity is trusted — an invalid
-// kind tallies as a read instead of erroring — so columns of unproven
-// provenance must go through RunColumns.
-func (pc *PartitionedCache) RunColumnsUnchecked(c *trace.Columns, buf *Batch) (*RunResult, error) {
-	if len(c.Addrs) != len(c.Cycles) || len(c.Kinds) != len(c.Cycles) {
-		return nil, fmt.Errorf("core: column length mismatch: %d cycles, %d addrs, %d kinds",
-			len(c.Cycles), len(c.Addrs), len(c.Kinds))
-	}
-	return pc.runColumns(c, buf)
-}
-
-func (pc *PartitionedCache) runColumns(c *trace.Columns, buf *Batch) (*RunResult, error) {
-	if c.Len() == 0 {
-		return nil, fmt.Errorf("core: empty trace")
-	}
-	if buf == nil || len(buf.cycles) == 0 {
-		buf = NewBatch(DefaultBatchSize)
-	}
-	size := len(buf.cycles)
-	if cap(pc.regionBuf) < size {
-		pc.regionBuf, pc.bankBuf, pc.scatterBuf = buf.regions, buf.banks, buf.scatter
-	}
-	n := c.Len()
-	var hits uint64
-	for start := 0; start < n; start += size {
-		end := min(start+size, n)
-		h, applied, err := pc.accessBatch(c.Cycles[start:end], c.Addrs[start:end], c.Kinds[start:end])
-		hits += h
-		if err != nil {
-			return nil, fmt.Errorf("core: access %d: %w", start+applied, err)
-		}
-	}
-	if err := pc.Finish(c.Span); err != nil {
-		return nil, err
-	}
-	return pc.Result(c.Name, hits)
 }
 
 // Result assembles the RunResult after Finish. hits is the hit count
@@ -315,29 +261,20 @@ func RunMonolithic(g cache.Geometry, tech power.Tech, tr *trace.Trace) (*Monolit
 	if err != nil {
 		return nil, err
 	}
-	res := &MonolithicResult{Name: tr.Name, SpanCycles: tr.Cycles}
-	// Same chunked batch drive as the partitioned kernel: one address
-	// buffer, cache lookups in bulk, counters accumulated locally.
-	acc := tr.Accesses
-	addrs := make([]uint64, min(DefaultBatchSize, len(acc)))
-	for start := 0; start < len(acc); start += len(addrs) {
-		chunk := acc[start:min(start+len(addrs), len(acc))]
-		//nbtivet:ignore soalayout monolithic baseline runs once per comparison off row input; not a sweep-rate path
-		for k := range chunk {
-			addrs[k] = chunk[k].Addr
-			if chunk[k].Kind == trace.Write {
-				res.Writes++
-			} else {
-				res.Reads++
-			}
+	res := &MonolithicResult{Name: tr.Name, SpanCycles: tr.Span}
+	for _, k := range tr.Kinds {
+		if k == trace.Write {
+			res.Writes++
+		} else {
+			res.Reads++
 		}
-		res.Hits += c.AccessBatch(addrs[:len(chunk)])
 	}
-	res.Misses = uint64(len(acc)) - res.Hits
+	res.Hits = c.AccessBatch(tr.Addrs)
+	res.Misses = uint64(tr.Len()) - res.Hits
 	res.Energy, err = tech.Energy(g, 1, power.Usage{
 		Reads:      res.Reads,
 		Writes:     res.Writes,
-		SpanCycles: tr.Cycles,
+		SpanCycles: tr.Span,
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,19 +38,13 @@ import (
 // consumes, so a warm start deserialises straight into simulation input
 // with zero per-access struct materialisation or transposition. The
 // blob stays self-verifying: the decoder re-derives the content address
-// by streaming the canonical row encoding from the columns
-// (WriteBinaryColumns emits byte-identical v1 bytes) through the hash.
-//
-// Trace blob ("NBTB" v1, legacy row form): the Signature, then the
-// trace's canonical binary (v1) encoding. Still decoded — stores
-// written by earlier versions warm-load with zero re-measurement — and
-// transcoded to NBTC on the next persist.
+// by streaming the canonical binary (v1) encoding of the decoded trace
+// through the hash.
 
 const (
-	jobBlobMagic      = "NBJR"
-	traceBlobMagic    = "NBTB" // legacy row-form trace blob (decode only)
-	traceBlobMagicCol = "NBTC" // columnar trace blob (current)
-	blobVersion       = 1
+	jobBlobMagic   = "NBJR"
+	traceBlobMagic = "NBTC"
+	blobVersion    = 1
 )
 
 // ErrBadBlob is returned when a stored blob does not decode. The engine
@@ -403,41 +396,32 @@ func encodeTraceBlob(st *storedTrace) ([]byte, error) {
 	if st == nil || st.info.Signature == nil {
 		return nil, fmt.Errorf("engine: unmeasured trace is not persistable")
 	}
-	c := st.cols
-	w := &blobWriter{buf: make([]byte, 0, 256+c.Len()*3)}
-	w.raw([]byte(traceBlobMagicCol))
+	tr := st.tr
+	w := &blobWriter{buf: make([]byte, 0, 256+tr.Len()*3)}
+	w.raw([]byte(traceBlobMagic))
 	w.byte(blobVersion)
 	sig := st.info.Signature
 	w.uvarint(uint64(sig.Banks))
 	w.f64s(sig.UsefulIdleness)
 	w.f64s(sig.SleepFractions)
 	w.uvarint(sig.Breakeven)
-	w.str(c.Name)
-	w.uvarint(uint64(c.Len()))
-	w.uvarint(c.Span)
-	w.buf = trace.AppendCyclesColumn(w.buf, c.Cycles)
-	w.buf = trace.AppendAddrsColumn(w.buf, c.Addrs)
-	w.buf = trace.AppendKindsColumn(w.buf, c.Kinds)
+	w.str(tr.Name)
+	w.uvarint(uint64(tr.Len()))
+	w.uvarint(tr.Span)
+	w.buf = trace.AppendCyclesColumn(w.buf, tr.Cycles)
+	w.buf = trace.AppendAddrsColumn(w.buf, tr.Addrs)
+	w.buf = trace.AppendKindsColumn(w.buf, tr.Kinds)
 	return w.buf, nil
 }
 
-// decodeTraceBlob parses a blob and verifies the embedded trace hashes
-// to key — the full content-address check, so a damaged or misfiled
-// trace never re-enters the store. Both formats decode; legacy reports
-// an NBTB (row-form) blob, which the caller transcodes to NBTC on its
-// next persist.
-func decodeTraceBlob(key string, blob []byte) (st *storedTrace, legacy bool, err error) {
-	if len(blob) >= len(traceBlobMagicCol) && string(blob[:len(traceBlobMagicCol)]) == traceBlobMagicCol {
-		st, err = decodeTraceBlobColumnar(key, blob)
-		return st, false, err
+// decodeTraceBlob parses an NBTC blob and verifies the embedded trace
+// hashes to key — the full content-address check, so a damaged or
+// misfiled trace never re-enters the store.
+func decodeTraceBlob(key string, blob []byte) (*storedTrace, error) {
+	if len(blob) < len(traceBlobMagic) || string(blob[:len(traceBlobMagic)]) != traceBlobMagic {
+		return nil, fmt.Errorf("%w: not a trace blob", ErrBadBlob)
 	}
-	st, err = decodeTraceBlobLegacy(key, blob)
-	return st, true, err
-}
-
-// decodeTraceBlobColumnar parses the columnar (NBTC) form.
-func decodeTraceBlobColumnar(key string, blob []byte) (*storedTrace, error) {
-	r := &blobReader{b: blob[len(traceBlobMagicCol):]}
+	r := &blobReader{b: blob[len(traceBlobMagic):]}
 	if v := r.byte(); v != blobVersion {
 		return nil, fmt.Errorf("%w: unsupported trace-blob version %d", ErrBadBlob, v)
 	}
@@ -459,9 +443,9 @@ func decodeTraceBlobColumnar(key string, blob []byte) (*storedTrace, error) {
 	if count*2 > uint64(len(r.b)) {
 		return nil, fmt.Errorf("%w: access count %d exceeds %d payload bytes", ErrBadBlob, count, len(r.b))
 	}
-	// The column decoders' own taxonomy (trace.ErrBadFormat) stays
-	// matchable through the %w-%w chains below, exactly like the legacy
-	// decoder's.
+	// Both halves of these wraps are %w: a corrupt blob matches
+	// ErrBadBlob, and the column decoders' own taxonomy
+	// (trace.ErrBadFormat) stays matchable through the chain.
 	cycles, rest, err := trace.DecodeCyclesColumn(r.b, int(count))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
@@ -477,66 +461,8 @@ func decodeTraceBlobColumnar(key string, blob []byte) (*storedTrace, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBlob, len(rest))
 	}
-	cols := &trace.Columns{Name: name, Cycles: cycles, Addrs: addrs, Kinds: kinds, Span: span}
-	if err := cols.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
-	}
-	id, size, err := ColumnsContentID(cols)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
-	}
-	if id != key {
-		return nil, fmt.Errorf("%w: blob is trace %s, filed under %s", ErrBadBlob, id, key)
-	}
-	return &storedTrace{
-		info: TraceInfo{
-			ID:        id,
-			Name:      cols.Name,
-			Accesses:  cols.Len(),
-			Cycles:    cols.Span,
-			Density:   cols.Density(),
-			Bytes:     size,
-			Signature: sig,
-		},
-		cols: cols,
-	}, nil
-}
-
-// decodeTraceBlobLegacy parses the row-form (NBTB) blob written by
-// earlier versions, transposing into columns once at load.
-func decodeTraceBlobLegacy(key string, blob []byte) (*storedTrace, error) {
-	r := &blobReader{b: blob}
-	if len(blob) < len(traceBlobMagic)+1 || string(blob[:len(traceBlobMagic)]) != traceBlobMagic {
-		return nil, fmt.Errorf("%w: not a trace blob", ErrBadBlob)
-	}
-	r.b = r.b[len(traceBlobMagic):]
-	if v := r.byte(); v != blobVersion {
-		return nil, fmt.Errorf("%w: unsupported trace-blob version %d", ErrBadBlob, v)
-	}
-	sig := &workload.Signature{
-		Banks:          r.intFromU(),
-		UsefulIdleness: r.f64s(),
-		SleepFractions: r.f64s(),
-		Breakeven:      r.uvarint(),
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	// The remainder is the canonical trace encoding; its byte budget
-	// (>= 3 bytes per access) bounds the decode.
-	// Both halves of these wraps are %w: a corrupt blob matches
-	// ErrBadBlob, and the decoder's own taxonomy (trace.ErrBadFormat)
-	// stays matchable through the chain — with %v it did not, and
-	// callers could not tell a malformed embedded trace from a
-	// mis-filed one.
-	d, err := trace.NewBinaryDecoder(bytes.NewReader(r.b))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
-	}
-	tr, err := d.ReadAll(len(r.b)/3 + 1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
-	}
+	tr := &trace.Trace{Name: name, Cycles: cycles, Addrs: addrs, Kinds: kinds, Span: span}
+	// TraceContentID validates the trace before hashing it.
 	id, size, err := TraceContentID(tr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadBlob, err)
@@ -544,16 +470,5 @@ func decodeTraceBlobLegacy(key string, blob []byte) (*storedTrace, error) {
 	if id != key {
 		return nil, fmt.Errorf("%w: blob is trace %s, filed under %s", ErrBadBlob, id, key)
 	}
-	return &storedTrace{
-		info: TraceInfo{
-			ID:        id,
-			Name:      tr.Name,
-			Accesses:  tr.Len(),
-			Cycles:    tr.Cycles,
-			Density:   tr.Density(),
-			Bytes:     size,
-			Signature: sig,
-		},
-		cols: trace.FromRows(tr),
-	}, nil
+	return newStoredTrace(id, size, sig, tr), nil
 }

@@ -21,27 +21,6 @@ func openTraceBlobs(dir string) (*cas.DiskStore, error) {
 	return cas.OpenDisk(filepath.Join(dir, "traces"), cas.Limits{})
 }
 
-// encodeLegacyTraceBlob renders the row-form (NBTB v1) blob earlier
-// versions persisted: signature fields, then the trace's canonical
-// binary encoding. Production code only decodes this format now, so
-// the writer lives with the tests that prove the compatibility path.
-func encodeLegacyTraceBlob(st *storedTrace) ([]byte, error) {
-	w := &blobWriter{}
-	w.raw([]byte(traceBlobMagic))
-	w.byte(blobVersion)
-	sig := st.info.Signature
-	w.uvarint(uint64(sig.Banks))
-	w.f64s(sig.UsefulIdleness)
-	w.f64s(sig.SleepFractions)
-	w.uvarint(sig.Breakeven)
-	var buf bytes.Buffer
-	if err := st.cols.WriteBinaryColumns(&buf); err != nil {
-		return nil, err
-	}
-	w.raw(buf.Bytes())
-	return w.buf, nil
-}
-
 // fuzzTrace builds a deterministic upload-shaped trace without the
 // *testing.T plumbing of uploadableTrace (fuzz setup holds a *testing.F).
 func fuzzTrace(name string, n int, seed int64) *trace.Trace {
@@ -52,16 +31,17 @@ func fuzzTrace(name string, n int, seed int64) *trace.Trace {
 		cycle += uint64(rng.Intn(9) + 1)
 		tr.Append(cycle, uint64(rng.Intn(1<<14)), trace.Kind(rng.Intn(2)))
 	}
-	tr.Cycles = cycle + 50
+	tr.Span = cycle + 50
 	return tr
 }
 
 // FuzzColumnarBlob drives decodeTraceBlob with arbitrary (key, bytes)
 // pairs: the decoder must reject or accept, never panic or over-
 // allocate, and anything accepted must verify its own content address
-// and agree bit-for-bit with the legacy row-form decoder. The seeds pin
-// both valid formats under their true keys, the huge-count header, and
-// the magic/version edges.
+// and agree bit-for-bit with the wire decoder. The seeds pin the valid
+// blob under its true key, the huge-count header, the magic/version
+// edges, and blobs behind the retired row-form "NBTB" magic, which
+// must be rejected.
 func FuzzColumnarBlob(f *testing.F) {
 	e := testEngine(f, 1)
 	info, _, err := e.AddTrace(fuzzTrace("fuzz-seed", 600, 17))
@@ -76,68 +56,59 @@ func FuzzColumnarBlob(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	nbtb, err := encodeLegacyTraceBlob(st)
-	if err != nil {
-		f.Fatal(err)
-	}
+	nbtb := append([]byte("NBTB\x01"), nbtc[len(traceBlobMagic)+1:]...)
 	f.Add(info.ID, nbtc)
-	f.Add(info.ID, nbtb)
+	f.Add(info.ID, nbtb)                                                                         // retired magic
 	f.Add(info.ID, nbtc[:len(nbtc)/2])                                                           // torn columnar blob
-	f.Add(info.ID, nbtb[:len(nbtb)/2])                                                           // torn legacy blob
+	f.Add(info.ID, nbtb[:len(nbtb)/2])                                                           // torn retired blob
 	f.Add("trace-0000", nbtc)                                                                    // misfiled
 	f.Add(info.ID, []byte("NBTC\x01"))                                                           // headerless columnar
 	f.Add(info.ID, []byte("NBTC\x07"))                                                           // unsupported version
-	f.Add(info.ID, []byte("NBTB\x01"))                                                           // headerless legacy
+	f.Add(info.ID, []byte("NBTB\x01"))                                                           // headerless retired
 	f.Add(info.ID, []byte("XXXX\x01junk"))                                                       // wrong magic
 	f.Add(info.ID, append([]byte("NBTC\x01\x00\x00\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0x7f)) // absurd count claim
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
-		got, _, err := decodeTraceBlob(key, data)
+		got, err := decodeTraceBlob(key, data)
 		if err != nil {
 			return
 		}
-		// Accepted: the columns must be simulation-grade and the blob
+		// Accepted: the trace must be simulation-grade and the blob
 		// must answer for the key it was filed under.
-		if verr := got.cols.Validate(); verr != nil {
-			t.Fatalf("decoder accepted invalid columns: %v", verr)
+		if verr := got.tr.Validate(); verr != nil {
+			t.Fatalf("decoder accepted an invalid trace: %v", verr)
 		}
-		id, _, err := ColumnsContentID(got.cols)
+		id, _, err := TraceContentID(got.tr)
 		if err != nil {
 			t.Fatalf("accepted blob has no content address: %v", err)
 		}
 		if id != key {
 			t.Fatalf("decoder accepted blob %s under key %s", id, key)
 		}
-		// Columnar round trip: re-encode, decode, identical store entry.
+		// Blob round trip: re-encode, decode, identical store entry.
 		re, err := encodeTraceBlob(got)
 		if err != nil {
 			t.Fatalf("accepted blob does not re-encode: %v", err)
 		}
-		again, legacy, err := decodeTraceBlob(key, re)
+		again, err := decodeTraceBlob(key, re)
 		if err != nil {
 			t.Fatalf("re-encoded blob rejected: %v", err)
 		}
-		if legacy {
-			t.Fatal("re-encoded blob reported as legacy")
+		if !reflect.DeepEqual(again.info, got.info) || !reflect.DeepEqual(again.tr, got.tr) {
+			t.Fatal("blob round trip diverged")
 		}
-		if !reflect.DeepEqual(again.info, got.info) || !reflect.DeepEqual(again.cols, got.cols) {
-			t.Fatal("columnar round trip diverged")
+		// Differential oracle against the wire decoder: the accepted
+		// trace's canonical bytes, read back through trace.ReadBinary,
+		// must be the same trace the column codecs produced.
+		var wire bytes.Buffer
+		if err := trace.WriteBinary(&wire, got.tr); err != nil {
+			t.Fatalf("accepted trace does not encode: %v", err)
 		}
-		// Differential oracle against the row-form decoder: the same
-		// trace rendered as a legacy NBTB blob must decode to the same
-		// bits — info and columns — as the columnar path produced.
-		lb, err := encodeLegacyTraceBlob(got)
+		back, err := trace.ReadBinary(&wire)
 		if err != nil {
-			t.Fatalf("legacy render failed: %v", err)
+			t.Fatalf("wire decode of accepted trace failed: %v", err)
 		}
-		rowSt, legacy, err := decodeTraceBlob(key, lb)
-		if err != nil {
-			t.Fatalf("legacy decode of accepted trace failed: %v", err)
-		}
-		if !legacy {
-			t.Fatal("NBTB blob not reported as legacy")
-		}
-		if !reflect.DeepEqual(rowSt.info, got.info) || !reflect.DeepEqual(rowSt.cols, got.cols) {
-			t.Fatal("columnar and legacy decoders disagree")
+		if !reflect.DeepEqual(back, got.tr) {
+			t.Fatal("column and wire decoders disagree")
 		}
 	})
 }
@@ -217,11 +188,11 @@ func TestTruncatedTraceBlobQuarantined(t *testing.T) {
 	}
 }
 
-// TestLegacyTraceBlobWarmLoad proves the compatibility contract: a
-// store holding only row-form (NBTB) blobs warm-loads with zero
-// re-measurement and zero re-simulation, and the first load transcodes
-// the blob to columnar (NBTC) form in place.
-func TestLegacyTraceBlobWarmLoad(t *testing.T) {
+// TestLegacyTraceBlobDiscarded pins what happens to a blob in the
+// retired row-form (NBTB) format: the warm start treats it like any
+// corrupt blob — counted in PersistCorruptions, deleted, never resident
+// — while the job results computed from that trace still serve.
+func TestLegacyTraceBlobDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	e1 := persistentEngine(t, dir)
 	info, _, err := e1.AddTrace(uploadableTrace(t, "legacy", 1500, 23))
@@ -237,19 +208,29 @@ func TestLegacyTraceBlobWarmLoad(t *testing.T) {
 	if !ok {
 		t.Fatal("stored trace vanished")
 	}
-	legacyBlob, err := encodeLegacyTraceBlob(st)
-	if err != nil {
+	// The row-form blob an earlier version would have left: signature,
+	// then the trace's canonical binary encoding.
+	w := &blobWriter{}
+	w.raw([]byte("NBTB\x01"))
+	sig := st.info.Signature
+	w.uvarint(uint64(sig.Banks))
+	w.f64s(sig.UsefulIdleness)
+	w.f64s(sig.SleepFractions)
+	w.uvarint(sig.Breakeven)
+	var wire bytes.Buffer
+	if err := trace.WriteBinary(&wire, st.tr); err != nil {
 		t.Fatal(err)
 	}
+	w.raw(wire.Bytes())
 	e1.Close()
 
-	// Rewrite the persisted trace as the row-form blob an earlier
-	// version would have left, through the store's own framing.
+	// Rewrite the persisted trace through the store's own framing, so
+	// only the engine's typed decode can object to it.
 	blobs, err := openTraceBlobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blobs.Put(info.ID, legacyBlob); err != nil {
+	if err := blobs.Put(info.ID, w.buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := blobs.Close(); err != nil {
@@ -257,52 +238,32 @@ func TestLegacyTraceBlobWarmLoad(t *testing.T) {
 	}
 
 	e2 := persistentEngine(t, dir)
-	infos := e2.TraceInfos()
-	if len(infos) != 1 || infos[0].ID != info.ID {
-		t.Fatalf("legacy blob did not warm-load: %+v", infos)
+	if infos := e2.TraceInfos(); len(infos) != 0 {
+		t.Fatalf("NBTB blob warm-loaded: %+v", infos)
 	}
-	if !reflect.DeepEqual(infos[0].Signature, info.Signature) {
-		t.Error("signature did not survive the legacy format")
+	if got := e2.Stats().PersistCorruptions; got != 1 {
+		t.Errorf("PersistCorruptions = %d, want 1", got)
 	}
 	res, err := e2.RunJob(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Cached {
-		t.Error("job re-simulated after legacy warm load")
+		t.Error("persisted job result not served after the trace was discarded")
 	}
 	if !reflect.DeepEqual(res.Run, first.Run) || !reflect.DeepEqual(res.Projection, first.Projection) {
-		t.Error("legacy-loaded result diverges from the original simulation")
+		t.Error("served result diverges from the original simulation")
 	}
-	stats := e2.Stats()
-	if stats.RunsExecuted != 0 {
-		t.Errorf("runs executed after legacy warm load = %d, want 0", stats.RunsExecuted)
+	if got := e2.Stats().RunsExecuted; got != 0 {
+		t.Errorf("runs executed = %d, want 0", got)
 	}
-	if stats.TracesBuilt != 0 {
-		t.Errorf("synthetic traces built after legacy warm load = %d, want 0", stats.TracesBuilt)
-	}
-	// The load transcoded the blob in place: the persisted form is
-	// columnar now, and it still decodes to the same entry.
+	e2.Close()
 	blobs2, err := openTraceBlobs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer blobs2.Close()
-	payload, err := blobs2.Get(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(payload, []byte(traceBlobMagicCol)) {
-		t.Fatalf("blob not transcoded to %s after legacy load (starts %q)", traceBlobMagicCol, payload[:4])
-	}
-	got, legacy, err := decodeTraceBlob(info.ID, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy {
-		t.Error("transcoded blob still reports legacy")
-	}
-	if !reflect.DeepEqual(got.cols, st.cols) {
-		t.Error("transcoded blob decodes to different columns")
+	if _, err := blobs2.Get(info.ID); err == nil {
+		t.Error("NBTB blob survived the warm start")
 	}
 }

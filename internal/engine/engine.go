@@ -89,7 +89,7 @@ type Engine struct {
 	lifeCtx  context.Context
 	lifeStop context.CancelFunc
 
-	traces *flightCache[*genTrace]
+	traces *flightCache[*trace.Trace]
 	// store holds uploaded real traces, content-addressed and measured
 	// at admission (see store.go); with a data directory it writes
 	// through to traceBlobs and reloads from it at start.
@@ -147,14 +147,6 @@ func defaultAgingModel() (*aging.Model, error) {
 		defaultModel, defaultModelErr = aging.New(aging.DefaultConfig())
 	})
 	return defaultModel, defaultModelErr
-}
-
-// genTrace is one generated benchmark trace in both layouts: the
-// columns the simulation path consumes, and the memoised row form the
-// public Trace API hands out (pointer-stable across calls).
-type genTrace struct {
-	rows *trace.Trace
-	cols *trace.Columns
 }
 
 // New builds an engine. The worker pool starts lazily on the first
@@ -217,7 +209,7 @@ func New(o Options) (*Engine, error) {
 		gen:         o.Gen,
 		lifeCtx:     ctx,
 		lifeStop:    stop,
-		traces:      newFlightCache[*genTrace](),
+		traces:      newFlightCache[*trace.Trace](),
 		store:       newTraceStore(o.MaxStoredTraces, traceBlobs),
 		runs:        newFlightCache[*core.RunResult](),
 		resultStore: resultStore,
@@ -288,31 +280,12 @@ func (e *Engine) Drain() {
 
 // Trace returns the generated trace for a benchmark and geometry,
 // building and caching it on first use. Concurrent requests for the
-// same trace generate it once. The returned row form is memoised
-// (pointer-stable across calls); simulation itself runs on the
-// columnar twin via traceColumns.
+// same trace generate it once. The trace is memoised (pointer-stable
+// across calls) and is the very one simulations run on, so callers must
+// not modify it.
 func (e *Engine) Trace(ctx context.Context, bench string, g cache.Geometry) (*trace.Trace, error) {
-	gt, err := e.genTraceFor(ctx, bench, g)
-	if err != nil {
-		return nil, err
-	}
-	return gt.rows, nil
-}
-
-// traceColumns is Trace's columnar twin — the form the simulation path
-// consumes directly, so a cached generated trace is re-simulated with
-// zero transposition.
-func (e *Engine) traceColumns(ctx context.Context, bench string, g cache.Geometry) (*trace.Columns, error) {
-	gt, err := e.genTraceFor(ctx, bench, g)
-	if err != nil {
-		return nil, err
-	}
-	return gt.cols, nil
-}
-
-func (e *Engine) genTraceFor(ctx context.Context, bench string, g cache.Geometry) (*genTrace, error) {
 	key := fmt.Sprintf("%s|%d|%d", bench, g.Size/1024, g.LineSize)
-	gt, _, err := e.traces.do(ctx, key, func() (*genTrace, error) {
+	tr, _, err := e.traces.do(ctx, key, func() (*trace.Trace, error) {
 		p, ok := workload.ByName(bench)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown benchmark %q", bench)
@@ -324,15 +297,15 @@ func (e *Engine) genTraceFor(ctx context.Context, bench string, g cache.Geometry
 			return nil, err
 		}
 		// Validated once here, at build: every later simulation of this
-		// cached trace runs the unchecked columnar path on the strength
-		// of this check (like decoded blobs, which validate at decode).
+		// cached trace runs the unchecked path on the strength of this
+		// check (like decoded blobs, which validate at decode).
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("engine: generated trace %q: %w", bench, err)
 		}
 		e.tracesBuilt.Add(1)
-		return &genTrace{rows: t, cols: trace.FromRows(t)}, nil
+		return t, nil
 	})
-	return gt, err
+	return tr, err
 }
 
 // RunJob executes one job synchronously on the caller's goroutine,
@@ -437,9 +410,9 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 		// state at all — and copies none either.
 		buf := batchPool.Get().(*core.Batch)
 		defer batchPool.Put(buf)
-		// Unchecked is sound here: every column source in this engine —
+		// Unchecked is sound here: every trace source in this engine —
 		// decoded blob, admitted upload, generated trace — validated at
-		// creation, and the columns are immutable thereafter.
+		// creation, and the traces are immutable thereafter.
 		res, err := sim.RunColumnsUnchecked(tr, buf)
 		if err == nil {
 			pc.add(phaseSimulate, simStart, time.Since(simStart))
@@ -463,7 +436,7 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 // otherwise. pinned selects the condemned-tolerant lookup (sweep
 // workers whose sweep pinned the trace at submission); unpinned callers
 // see a removed trace as unknown.
-func (e *Engine) traceFor(ctx context.Context, spec JobSpec, g cache.Geometry, pinned bool) (*trace.Columns, error) {
+func (e *Engine) traceFor(ctx context.Context, spec JobSpec, g cache.Geometry, pinned bool) (*trace.Trace, error) {
 	if spec.TraceID != "" {
 		var st *storedTrace
 		var ok bool
@@ -475,9 +448,9 @@ func (e *Engine) traceFor(ctx context.Context, spec JobSpec, g cache.Geometry, p
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown trace %q (upload it first)", spec.TraceID)
 		}
-		return st.cols, nil
+		return st.tr, nil
 	}
-	return e.traceColumns(ctx, spec.Bench, g)
+	return e.Trace(ctx, spec.Bench, g)
 }
 
 // Job returns the cached result for a job ID, if that job has completed

@@ -288,6 +288,32 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelAfterDoneKeepsDone: cancelling a sweep whose every slot has
+// already resolved cancels nothing, so it must keep reporting "done"
+// with its completed count intact, not flip to "canceled".
+func TestCancelAfterDoneKeepsDone(t *testing.T) {
+	e := testEngine(t, 1)
+	h, err := e.Submit(context.Background(), SweepSpec{Benches: []string{"sha"}, Banks: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status.State != "done" {
+		t.Fatalf("state after Wait = %q, want done", res.Status.State)
+	}
+	h.Cancel()
+	st := h.Status()
+	if st.State != "done" || st.Completed != 1 || st.Canceled != 0 {
+		t.Errorf("after Cancel: state %q, completed %d, canceled %d; want done, 1, 0", st.State, st.Completed, st.Canceled)
+	}
+	if h.Cancelled() {
+		t.Error("Cancelled() reports a cancellation that cancelled nothing")
+	}
+}
+
 // TestCloseUnblocksWaiters: Close while a sweep is queued must resolve
 // every pending job as cancelled and return from Wait.
 func TestCloseUnblocksWaiters(t *testing.T) {

@@ -88,20 +88,17 @@ func TestTraceBlobCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, legacy, err := decodeTraceBlob(info.ID, blob)
+	got, err := decodeTraceBlob(info.ID, blob)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if legacy {
-		t.Error("freshly encoded blob reported as legacy format")
 	}
 	if !reflect.DeepEqual(got.info, st.info) {
 		t.Errorf("info round trip:\ngot  %+v\nwant %+v", got.info, st.info)
 	}
-	if !reflect.DeepEqual(got.cols, st.cols) {
+	if !reflect.DeepEqual(got.tr, st.tr) {
 		t.Error("trace columns did not round trip")
 	}
-	if _, _, err := decodeTraceBlob("trace-0000", blob); err == nil {
+	if _, err := decodeTraceBlob("trace-0000", blob); err == nil {
 		t.Error("trace blob accepted under another content address")
 	}
 }
@@ -130,7 +127,7 @@ func TestTraceBlobErrorChain(t *testing.T) {
 	// The trace columns sit at the tail of the blob; truncating them
 	// leaves the header and signature intact and makes only the embedded
 	// trace malformed.
-	_, _, err = decodeTraceBlob(info.ID, blob[:len(blob)-3])
+	_, err = decodeTraceBlob(info.ID, blob[:len(blob)-3])
 	if err == nil {
 		t.Fatal("truncated trace section decoded")
 	}

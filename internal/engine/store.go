@@ -49,13 +49,28 @@ type TraceInfo struct {
 	Signature *workload.Signature `json:"signature"`
 }
 
-// storedTrace holds a resident uploaded trace in columnar (SoA) form —
-// the batch kernel's native input layout, so a stored trace feeds
-// simulation by slicing its columns, never by materialising Access
-// structs.
+// storedTrace holds a resident uploaded trace, a private copy in the
+// batch kernel's native column layout.
 type storedTrace struct {
 	info TraceInfo
-	cols *trace.Columns
+	tr   *trace.Trace
+}
+
+// newStoredTrace wraps a validated trace under its content address,
+// canonical size and admission-time signature.
+func newStoredTrace(id string, size int64, sig *workload.Signature, tr *trace.Trace) *storedTrace {
+	return &storedTrace{
+		info: TraceInfo{
+			ID:        id,
+			Name:      tr.Name,
+			Accesses:  tr.Len(),
+			Cycles:    tr.Span,
+			Density:   tr.Density(),
+			Bytes:     size,
+			Signature: sig,
+		},
+		tr: tr,
+	}
 }
 
 // ErrTraceStoreFull is returned by AddTrace when admitting another
@@ -114,12 +129,9 @@ type blobMapper interface {
 // load warms the resident map from the persistent layer, oldest blob
 // first, up to the admission bound (blobs past it stay on disk,
 // unlisted, until slots free up and they are re-uploaded). Blobs that
-// fail the typed decode are deleted and counted; the store's own
-// checksum layer has already quarantined anything it could detect.
-// Legacy row-form (NBTB) blobs warm-load with zero re-measurement —
-// the signature rides in the blob — and are transcoded to the columnar
-// (NBTC) form in place, so the one-time transposition cost never
-// recurs on later starts.
+// fail the typed decode — including any that is not NBTC — are deleted
+// and counted; the store's own checksum layer has already quarantined
+// anything it could detect.
 func (s *traceStore) load() {
 	if s.blobs == nil {
 		return
@@ -148,21 +160,12 @@ func (s *traceStore) load() {
 		if err != nil {
 			continue // quarantined or vanished; counted by the store
 		}
-		entry, legacy, err := decodeTraceBlob(st.Key, blob)
+		entry, err := decodeTraceBlob(st.Key, blob)
 		_ = mapped.Release()
 		if err != nil {
 			s.corrupt.Add(1)
 			_ = s.blobs.Delete(st.Key)
 			continue
-		}
-		if legacy {
-			// Transcode on persist: Put replaces the frame atomically
-			// (temp + rename), so a crash mid-transcode leaves either
-			// form intact, never a torn blob. Failure is benign — the
-			// legacy blob still decodes next start.
-			if nbtc, err := encodeTraceBlob(entry); err == nil {
-				_ = s.blobs.Put(st.Key, nbtc)
-			}
 		}
 		s.m[st.Key] = entry
 	}
@@ -384,20 +387,6 @@ func TraceContentID(tr *trace.Trace) (string, int64, error) {
 	return "trace-" + hex.EncodeToString(sum[:16]), cw.n, nil
 }
 
-// ColumnsContentID is TraceContentID over the columnar form: the
-// canonical row encoding streams straight from the columns into the
-// hash (WriteBinaryColumns is byte-identical to WriteBinary), so the
-// same trace gets the same address from either representation, without
-// materialising a row form to compute it.
-func ColumnsContentID(c *trace.Columns) (string, int64, error) {
-	cw := &countingWriter{h: sha256.New()}
-	if err := c.WriteBinaryColumns(cw); err != nil {
-		return "", 0, err
-	}
-	sum := cw.h.Sum(nil)
-	return "trace-" + hex.EncodeToString(sum[:16]), cw.n, nil
-}
-
 // signatureGeometry is the admission-measurement configuration: the
 // paper's default geometry and bank count (signatures at banks=4 are the
 // Table-I granularity Profile derivation expects).
@@ -439,22 +428,11 @@ func (e *Engine) AddTrace(tr *trace.Trace) (TraceInfo, bool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: measuring trace %q: %w", tr.Name, err)
 		}
-		// The stored columns are a private transposition: the caller
-		// keeps ownership of tr, and a later mutation cannot
-		// desynchronise the stored accesses from the content address and
-		// signature measured here.
-		return &storedTrace{
-			info: TraceInfo{
-				ID:        id,
-				Name:      tr.Name,
-				Accesses:  tr.Len(),
-				Cycles:    tr.Cycles,
-				Density:   tr.Density(),
-				Bytes:     size,
-				Signature: sig,
-			},
-			cols: trace.FromRows(tr),
-		}, nil
+		// The stored trace is a private copy: the caller keeps
+		// ownership of tr, and a later mutation cannot desynchronise the
+		// stored accesses from the content address and signature
+		// measured here.
+		return newStoredTrace(id, size, sig, tr.Clone()), nil
 	})
 	if err != nil {
 		return TraceInfo{}, false, err
@@ -516,19 +494,16 @@ func (e *Engine) WriteTrace(w io.Writer, id string) (found bool, err error) {
 	if !ok {
 		return false, nil
 	}
-	// The canonical bytes stream straight from the stored columns — the
-	// forwarding path shares the hot path's zero-materialisation rule.
-	return true, st.cols.WriteBinaryColumns(w)
+	return true, trace.WriteBinary(w, st.tr)
 }
 
-// storedTraceByID resolves an uploaded trace's accesses, including
-// condemned entries (test hook; production lookups go through
+// storedTraceByID resolves an uploaded trace, including condemned
+// entries (test hook; production lookups go through
 // traceStore.get/resolve with explicit pin semantics — see traceFor).
-// The row form is materialised per call.
 func (e *Engine) storedTraceByID(id string) (*trace.Trace, bool) {
 	st, ok := e.store.resolve(id)
 	if !ok {
 		return nil, ok
 	}
-	return st.cols.Rows(), true
+	return st.tr, true
 }

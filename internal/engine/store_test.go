@@ -22,7 +22,7 @@ func uploadableTrace(t *testing.T, name string, n int, seed int64) *trace.Trace 
 		cycle += uint64(rng.Intn(9) + 1)
 		tr.Append(cycle, uint64(rng.Intn(1<<14)), trace.Kind(rng.Intn(2)))
 	}
-	tr.Cycles = cycle + 50
+	tr.Span = cycle + 50
 	return tr
 }
 
@@ -40,7 +40,7 @@ func TestAddTraceContentAddressed(t *testing.T) {
 	if !strings.HasPrefix(info.ID, "trace-") {
 		t.Errorf("ID %q not content-addressed", info.ID)
 	}
-	if info.Accesses != tr.Len() || info.Cycles != tr.Cycles || info.Name != "real" {
+	if info.Accesses != tr.Len() || info.Cycles != tr.Span || info.Name != "real" {
 		t.Errorf("info shape wrong: %+v", info)
 	}
 	if info.Signature == nil || info.Signature.Banks != 4 || len(info.Signature.UsefulIdleness) != 4 {
@@ -76,7 +76,7 @@ func TestAddTraceContentAddressed(t *testing.T) {
 	}
 	// The store holds a private copy: mutating the uploaded trace must
 	// not desynchronise the stored accesses from the content address.
-	tr.Append(tr.Cycles+10, 0xdead, trace.Read)
+	tr.Append(tr.Span+10, 0xdead, trace.Read)
 	if st, ok := e.storedTraceByID(info.ID); !ok || st.Len() != info.Accesses {
 		t.Errorf("stored trace aliased caller's: len %d, want %d", st.Len(), info.Accesses)
 	}
@@ -90,7 +90,7 @@ func TestAddTraceRejects(t *testing.T) {
 	if _, _, err := e.AddTrace(nil); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, _, err := e.AddTrace(&trace.Trace{Name: "empty", Cycles: 10}); err == nil {
+	if _, _, err := e.AddTrace(&trace.Trace{Name: "empty", Span: 10}); err == nil {
 		t.Error("access-free trace accepted")
 	}
 	bad := &trace.Trace{Name: "bad\nname"}

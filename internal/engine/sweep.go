@@ -94,10 +94,14 @@ func (h *Handle) Done() <-chan struct{} { return h.finished }
 
 // Cancel stops the sweep: slots not yet resolved are recorded as
 // cancelled by the executor, and the sweep still finishes (Wait returns)
-// once every slot is resolved. Completed results are kept.
+// once every slot is resolved. Completed results are kept. Cancelling a
+// sweep whose every slot has already resolved changes nothing: it stays
+// "done".
 func (h *Handle) Cancel() {
 	h.mu.Lock()
-	h.cancelled = true
+	if len(h.log) < len(h.jobs) {
+		h.cancelled = true
+	}
 	h.mu.Unlock()
 	h.cancel()
 }

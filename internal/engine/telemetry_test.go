@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nbticache/internal/obs"
+	"nbticache/internal/workload"
 )
 
 // TestSweepTimingAndSpans runs a small sweep on a live-telemetry engine
@@ -100,6 +101,10 @@ func TestSweepTimingAndSpans(t *testing.T) {
 		}
 	}
 }
+
+// benchSweep is the 36-point workload × banks grid the overhead guard
+// runs with and without telemetry.
+var benchSweep = SweepSpec{Benches: workload.Names(), Banks: []int{4, 8}}
 
 // TestTelemetryOverhead is the overhead guard: the instrumented sweep
 // path must stay cheap relative to the no-op recorder on the benchmark

@@ -107,7 +107,8 @@ func Geometry(sizeKB int, lineB uint64) cache.Geometry {
 }
 
 // Trace returns (generating and memoising) the benchmark's trace for a
-// geometry. Concurrent callers generate each trace exactly once.
+// geometry. Concurrent callers generate each trace exactly once. The
+// trace is the one the suite simulates, so callers must not modify it.
 func (s *Suite) Trace(bench string, g cache.Geometry) (*trace.Trace, error) {
 	return s.eng.Trace(context.Background(), bench, g)
 }

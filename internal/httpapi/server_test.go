@@ -199,6 +199,56 @@ func TestCancelOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCancelFinishedSweepOverHTTP: DELETE on a sweep that has already
+// finished cancels nothing and answers its unchanged "done" status.
+func TestCancelFinishedSweepOverHTTP(t *testing.T) {
+	ts, _ := testServer(t)
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"benches":["sha"],"banks":[4]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		var sweep SweepResponse
+		getJSON(t, ts.URL+"/v1/sweeps/"+sub.ID, &sweep)
+		if sweep.Status.State == "done" {
+			break
+		}
+		if sweep.Status.State != "running" || time.Now().After(deadline) {
+			t.Fatalf("sweep did not finish: %+v", sweep.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+sub.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dresp.Body.Close()
+	var st engine.SweepStatus
+	if err := json.NewDecoder(dresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if dresp.StatusCode != http.StatusOK || st.State != "done" || st.Completed != 1 {
+		t.Fatalf("DELETE on a finished sweep: status %d, %+v; want 200 and done", dresp.StatusCode, st)
+	}
+	var sweep SweepResponse
+	getJSON(t, ts.URL+"/v1/sweeps/"+sub.ID, &sweep)
+	if sweep.Status.State != "done" {
+		t.Errorf("state after DELETE = %q, want done", sweep.Status.State)
+	}
+}
+
 func TestHealthAndMetrics(t *testing.T) {
 	ts, _ := testServer(t)
 	var health map[string]string
@@ -269,7 +319,7 @@ func uploadTestTrace(name string, n int, seed int64) *trace.Trace {
 		cycle += uint64(rng.Intn(9) + 1)
 		tr.Append(cycle, uint64(rng.Intn(1<<14)), trace.Kind(rng.Intn(2)))
 	}
-	tr.Cycles = cycle + 50
+	tr.Span = cycle + 50
 	return tr
 }
 
@@ -313,7 +363,7 @@ func TestTraceUploadBinaryAndText(t *testing.T) {
 	if !first.Created || first.ID == "" || first.Name != "camera-app" {
 		t.Fatalf("bad upload response: %+v", first)
 	}
-	if first.Accesses != tr.Len() || first.Cycles != tr.Cycles {
+	if first.Accesses != tr.Len() || first.Cycles != tr.Span {
 		t.Errorf("shape wrong: %+v", first)
 	}
 	if first.Signature == nil || first.Signature.Banks != 4 {

@@ -58,13 +58,12 @@ func RunLineLevel(g cache.Geometry, tech powerTech, tr *trace.Trace, breakeven u
 	if err != nil {
 		return nil, err
 	}
-	for i := range tr.Accesses {
-		a := &tr.Accesses[i]
-		if err := pm.Access(int(g.Index(a.Addr)), a.Cycle); err != nil {
+	for i, a := range tr.Addrs {
+		if err := pm.Access(int(g.Index(a)), tr.Cycles[i]); err != nil {
 			return nil, fmt.Errorf("mitigate: access %d: %w", i, err)
 		}
 	}
-	if err := pm.Finish(tr.Cycles); err != nil {
+	if err := pm.Finish(tr.Span); err != nil {
 		return nil, err
 	}
 	fracs, err := pm.SleepFractionVector()

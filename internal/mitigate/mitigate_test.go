@@ -197,7 +197,7 @@ func TestRunLineLevelErrors(t *testing.T) {
 	if _, err := RunLineLevel(assoc, power.DefaultTech(), tr, 0); err == nil {
 		t.Error("set-associative accepted")
 	}
-	empty := &trace.Trace{Name: "empty", Cycles: 10}
+	empty := &trace.Trace{Name: "empty", Span: 10}
 	if _, err := RunLineLevel(geom16k(), power.DefaultTech(), empty, 0); err == nil {
 		t.Error("empty trace accepted")
 	}

@@ -28,7 +28,8 @@ const (
 // ErrBadFormat is returned when decoding input that is not a valid trace.
 var ErrBadFormat = errors.New("trace: bad format")
 
-// WriteBinary encodes t in the compact delta format.
+// WriteBinary encodes t in the compact delta format. These are the
+// canonical bytes a trace's content address hashes.
 func WriteBinary(w io.Writer, t *Trace) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -46,35 +47,31 @@ func WriteBinary(w io.Writer, t *Trace) error {
 		_, err := bw.Write(buf[:n])
 		return err
 	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
 	if err := putUvarint(uint64(len(t.Name))); err != nil {
 		return err
 	}
 	if _, err := bw.WriteString(t.Name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.Accesses))); err != nil {
+	if err := putUvarint(uint64(t.Len())); err != nil {
 		return err
 	}
-	if err := putUvarint(t.Cycles); err != nil {
+	if err := putUvarint(t.Span); err != nil {
 		return err
 	}
+	// One buffered write per access: cycle delta, addr delta, kind
+	// (two varints and a byte peak at 21 bytes).
+	var rec [2*binary.MaxVarintLen64 + 1]byte
 	var prevCycle, prevAddr uint64
-	for _, a := range t.Accesses {
-		if err := putUvarint(a.Cycle - prevCycle); err != nil {
+	for i, c := range t.Cycles {
+		a := t.Addrs[i]
+		n := binary.PutUvarint(rec[:], c-prevCycle)
+		n += binary.PutVarint(rec[n:], int64(a-prevAddr))
+		rec[n] = byte(t.Kinds[i])
+		if _, err := bw.Write(rec[:n+1]); err != nil {
 			return err
 		}
-		if err := putVarint(int64(a.Addr - prevAddr)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
-		prevCycle, prevAddr = a.Cycle, a.Addr
+		prevCycle, prevAddr = c, a
 	}
 	return bw.Flush()
 }
@@ -99,11 +96,11 @@ func WriteText(w io.Writer, t *Trace) error {
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nbticache trace v%d\n# name %s\n# cycles %d\n",
-		binaryVersion, t.Name, t.Cycles); err != nil {
+		binaryVersion, t.Name, t.Span); err != nil {
 		return err
 	}
-	for _, a := range t.Accesses {
-		if _, err := fmt.Fprintf(bw, "%d %s %#x\n", a.Cycle, a.Kind, a.Addr); err != nil {
+	for i, c := range t.Cycles {
+		if _, err := fmt.Fprintf(bw, "%d %s %#x\n", c, t.Kinds[i], t.Addrs[i]); err != nil {
 			return err
 		}
 	}

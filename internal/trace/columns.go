@@ -1,159 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
-// Columns is a trace in struct-of-arrays layout: three parallel columns
-// (cycle stamps, byte addresses, access kinds) plus the span. This is
-// the exact shape the batched simulation kernel consumes, so a trace
-// held as Columns feeds core.AccessBatch by slicing — no per-access
-// struct materialisation or transposition anywhere between the decoded
-// bytes and the kernel. The row form (Trace) remains the ingestion and
-// interchange type; Columns is the resident and simulation type.
-type Columns struct {
-	Name string
-	// Cycles, Addrs and Kinds are parallel: element i is one access.
-	// Cycles must be non-decreasing.
-	Cycles []uint64
-	Addrs  []uint64
-	Kinds  []Kind
-	// Span is the total duration in cycles (Trace.Cycles); it must
-	// exceed the last access's cycle stamp.
-	Span uint64
-}
-
-// Len returns the number of accesses.
-func (c *Columns) Len() int { return len(c.Cycles) }
-
-// Density returns accesses per cycle over the whole span (0 for an
-// empty or zero-length trace).
-func (c *Columns) Density() float64 {
-	if c.Span == 0 {
-		return 0
-	}
-	return float64(len(c.Cycles)) / float64(c.Span)
-}
-
-// Validate checks internal consistency, mirroring Trace.Validate on the
-// columnar form: parallel column lengths, a codec-safe name, ordered
-// cycle stamps, valid kinds, and a span that covers every access.
-func (c *Columns) Validate() error {
-	if err := checkName(c.Name); err != nil {
-		return err
-	}
-	n := len(c.Cycles)
-	if len(c.Addrs) != n || len(c.Kinds) != n {
-		return fmt.Errorf("trace: column length mismatch: %d cycles, %d addrs, %d kinds",
-			n, len(c.Addrs), len(c.Kinds))
-	}
-	var prev uint64
-	for i, cy := range c.Cycles {
-		if cy < prev {
-			return fmt.Errorf("%w: access %d at cycle %d after cycle %d",
-				ErrUnordered, i, cy, prev)
-		}
-		if !c.Kinds[i].Valid() {
-			return fmt.Errorf("trace: access %d has invalid kind %d", i, c.Kinds[i])
-		}
-		prev = cy
-	}
-	if n > 0 && c.Span <= c.Cycles[n-1] {
-		return fmt.Errorf("trace: span %d cycles does not cover last access at cycle %d",
-			c.Span, c.Cycles[n-1])
-	}
-	return nil
-}
-
-// FromRows transposes a row-form trace into fresh columns. The result
-// shares nothing with t, so a caller mutating t afterwards cannot
-// desynchronise the columns.
-func FromRows(t *Trace) *Columns {
-	n := len(t.Accesses)
-	c := &Columns{
-		Name:   t.Name,
-		Cycles: make([]uint64, n),
-		Addrs:  make([]uint64, n),
-		Kinds:  make([]Kind, n),
-		Span:   t.Cycles,
-	}
-	for i := range t.Accesses {
-		a := &t.Accesses[i]
-		c.Cycles[i], c.Addrs[i], c.Kinds[i] = a.Cycle, a.Addr, a.Kind
-	}
-	return c
-}
-
-// Rows materialises the row form. It is the compatibility bridge for
-// consumers of []Access (signature measurement, legacy tests); the hot
-// path never calls it.
-func (c *Columns) Rows() *Trace {
-	t := &Trace{
-		Name:     c.Name,
-		Accesses: make([]Access, len(c.Cycles)),
-		Cycles:   c.Span,
-	}
-	for i := range t.Accesses {
-		t.Accesses[i] = Access{Cycle: c.Cycles[i], Addr: c.Addrs[i], Kind: c.Kinds[i]}
-	}
-	return t
-}
-
-// WriteBinaryColumns streams the canonical binary (v1) encoding straight
-// from columns — byte-identical to WriteBinary on the row form, so
-// content addresses derived from either representation agree. This is
-// how a columnar store exports wire traces and re-derives content IDs
-// without ever materialising Access structs.
-func (c *Columns) WriteBinaryColumns(w io.Writer) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(c.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(c.Name); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(c.Cycles))); err != nil {
-		return err
-	}
-	if err := putUvarint(c.Span); err != nil {
-		return err
-	}
-	// One buffered write per access: cycle delta, addr delta, kind
-	// (two varints and a byte peak at 21 bytes).
-	var rec [2*binary.MaxVarintLen64 + 1]byte
-	var prevCycle, prevAddr uint64
-	for i := range c.Cycles {
-		n := binary.PutUvarint(rec[:], c.Cycles[i]-prevCycle)
-		n += binary.PutVarint(rec[n:], int64(c.Addrs[i]-prevAddr))
-		rec[n] = byte(c.Kinds[i])
-		if _, err := bw.Write(rec[:n+1]); err != nil {
-			return err
-		}
-		prevCycle, prevAddr = c.Cycles[i], c.Addrs[i]
-	}
-	return bw.Flush()
-}
-
-// --- column codecs ---
-//
 // The three column encodings below are the payload primitives of the
 // columnar trace-blob format (engine "NBTC"): a delta-uvarint cycles
 // column, a zig-zag-delta-varint addrs column, and a run-length-encoded

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,7 +19,7 @@ func columnsTrace(seed int64, n int) *Trace {
 		if rng.Intn(4) == 0 {
 			kind = Write
 		}
-		tr.Accesses = append(tr.Accesses, Access{Cycle: cycle, Addr: addr, Kind: kind})
+		tr.Append(cycle, addr, kind)
 		cycle += uint64(rng.Intn(5))
 		switch rng.Intn(4) {
 		case 0:
@@ -29,61 +30,90 @@ func columnsTrace(seed int64, n int) *Trace {
 			addr += uint64(rng.Intn(64))
 		}
 	}
-	tr.Cycles = cycle + 1 + uint64(rng.Intn(100))
+	tr.Span = cycle + 1 + uint64(rng.Intn(100))
 	return tr
 }
 
+// TestColumnsRowsRoundTrip pins the one place rows remain: the
+// streaming codec's per-access records. Columns streamed out one Access
+// at a time through the Encoder and read back through Decoder.Next must
+// rebuild the same columns, and FromRows must copy them deeply.
 func TestColumnsRowsRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		tr := columnsTrace(seed, 500)
-		cols := FromRows(tr)
-		if err := cols.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		var buf bytes.Buffer
+		enc, err := NewEncoder(&buf, tr.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		back := cols.Rows()
+		for i := range tr.Cycles {
+			if err := enc.Write(Access{Cycle: tr.Cycles[i], Addr: tr.Addrs[i], Kind: tr.Kinds[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Close(tr.Span); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewDecoder(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := &Trace{Name: dec.Name()}
+		for {
+			a, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			back.Append(a.Cycle, a.Addr, a.Kind)
+		}
+		back.Span = dec.Cycles()
 		if !reflect.DeepEqual(tr, back) {
-			t.Fatalf("seed %d: rows->columns->rows changed the trace", seed)
+			t.Fatalf("seed %d: columns->rows->columns changed the trace", seed)
 		}
-		if cols.Len() != tr.Len() || cols.Density() != tr.Density() {
-			t.Fatalf("seed %d: shape diverged", seed)
+		cp := FromRows(tr)
+		if !reflect.DeepEqual(tr, cp) {
+			t.Fatalf("seed %d: FromRows changed the trace", seed)
+		}
+		cp.Addrs[0]++
+		cp.Kinds[0] ^= 1
+		if tr.Addrs[0] == cp.Addrs[0] || tr.Kinds[0] == cp.Kinds[0] {
+			t.Fatalf("seed %d: FromRows shares columns with its input", seed)
 		}
 	}
 }
 
-// TestWriteBinaryColumnsCanonical pins the contract content addressing
-// rests on: the columnar writer emits byte-for-byte the canonical v1
-// encoding WriteBinary produces from the row form.
-func TestWriteBinaryColumnsCanonical(t *testing.T) {
-	for seed := int64(10); seed < 16; seed++ {
-		tr := columnsTrace(seed, 777)
-		var rows, cols bytes.Buffer
-		if err := WriteBinary(&rows, tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := FromRows(tr).WriteBinaryColumns(&cols); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rows.Bytes(), cols.Bytes()) {
-			t.Fatalf("seed %d: columnar v1 encoding diverges from row encoding", seed)
-		}
-	}
-	// Empty trace too (header-only encoding).
-	empty := &Trace{Name: "e"}
-	var rows, cols bytes.Buffer
-	if err := WriteBinary(&rows, empty); err != nil {
+// TestWriteBinaryCanonicalBytes pins the bytes content addresses hash:
+// the canonical v1 encoding of a small trace, byte for byte. A change
+// here moves every uploaded trace's ID.
+func TestWriteBinaryCanonicalBytes(t *testing.T) {
+	tr := &Trace{Name: "g"}
+	tr.Append(1, 0x40, Read)
+	tr.Append(3, 0x20, Write)
+	tr.Span = 9
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := FromRows(empty).WriteBinaryColumns(&cols); err != nil {
+	const want = "NBTR\x01\x01g\x02\t\x01\x80\x01\x00\x02?\x01"
+	if got := buf.String(); got != want {
+		t.Fatalf("canonical bytes:\ngot  %q\nwant %q", got, want)
+	}
+	// Empty trace: header only.
+	buf.Reset()
+	if err := WriteBinary(&buf, &Trace{Name: "e", Span: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rows.Bytes(), cols.Bytes()) {
-		t.Fatal("empty trace: columnar v1 encoding diverges from row encoding")
+	if got, want := buf.String(), "NBTR\x01\x01e\x00\x05"; got != want {
+		t.Fatalf("empty canonical bytes: got %q, want %q", got, want)
 	}
 }
 
 func TestColumnCodecRoundTrip(t *testing.T) {
 	for seed := int64(20); seed < 25; seed++ {
-		cols := FromRows(columnsTrace(seed, 333))
+		cols := columnsTrace(seed, 333)
 		var payload []byte
 		payload = AppendCyclesColumn(payload, cols.Cycles)
 		payload = AppendAddrsColumn(payload, cols.Addrs)
@@ -138,23 +168,23 @@ func TestColumnDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestColumnsValidate(t *testing.T) {
-	good := FromRows(columnsTrace(1, 50))
+	good := columnsTrace(1, 50)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ragged := &Columns{Name: "r", Cycles: []uint64{1, 2}, Addrs: []uint64{1}, Kinds: []Kind{Read, Read}, Span: 3}
+	ragged := &Trace{Name: "r", Cycles: []uint64{1, 2}, Addrs: []uint64{1}, Kinds: []Kind{Read, Read}, Span: 3}
 	if err := ragged.Validate(); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
-	unordered := &Columns{Name: "u", Cycles: []uint64{5, 3}, Addrs: []uint64{0, 0}, Kinds: []Kind{Read, Read}, Span: 9}
+	unordered := &Trace{Name: "u", Cycles: []uint64{5, 3}, Addrs: []uint64{0, 0}, Kinds: []Kind{Read, Read}, Span: 9}
 	if !errors.Is(unordered.Validate(), ErrUnordered) {
 		t.Fatal("unordered columns accepted")
 	}
-	badKind := &Columns{Name: "k", Cycles: []uint64{1}, Addrs: []uint64{0}, Kinds: []Kind{Kind(7)}, Span: 2}
+	badKind := &Trace{Name: "k", Cycles: []uint64{1}, Addrs: []uint64{0}, Kinds: []Kind{Kind(7)}, Span: 2}
 	if err := badKind.Validate(); err == nil {
 		t.Fatal("invalid kind accepted")
 	}
-	shortSpan := &Columns{Name: "s", Cycles: []uint64{4}, Addrs: []uint64{0}, Kinds: []Kind{Read}, Span: 4}
+	shortSpan := &Trace{Name: "s", Cycles: []uint64{4}, Addrs: []uint64{0}, Kinds: []Kind{Read}, Span: 4}
 	if err := shortSpan.Validate(); err == nil {
 		t.Fatal("uncovered span accepted")
 	}

@@ -429,18 +429,20 @@ func (d *Decoder) textHeader(line string) error {
 // count; everything beyond it grows by appending as bytes actually arrive.
 const readAllPrealloc = 4096
 
-// ReadAll drains the decoder into a Trace. maxAccesses > 0 caps the
-// accepted access count (exceeding it returns ErrTooLarge); <= 0 means
+// ReadAll drains the decoder into a Trace, appending each access
+// straight into the three columns. maxAccesses > 0 caps the accepted
+// access count (exceeding it returns ErrTooLarge); <= 0 means
 // unbounded. Memory is proportional to the decoded access count, never
 // to a header claim.
 func (d *Decoder) ReadAll(maxAccesses int) (*Trace, error) {
-	var accs []Access
+	t := &Trace{}
 	if n, ok := d.DeclaredCount(); ok {
 		if maxAccesses > 0 && n > uint64(maxAccesses) {
 			return nil, fmt.Errorf("%w: header claims %d accesses, cap is %d", ErrTooLarge, n, maxAccesses)
 		}
 		if n > 0 {
-			accs = make([]Access, 0, min(n, readAllPrealloc))
+			c := int(min(n, readAllPrealloc))
+			t.Cycles, t.Addrs, t.Kinds = make([]uint64, 0, c), make([]uint64, 0, c), make([]Kind, 0, c)
 		}
 	}
 	for {
@@ -451,12 +453,14 @@ func (d *Decoder) ReadAll(maxAccesses int) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if maxAccesses > 0 && len(accs) >= maxAccesses {
+		if maxAccesses > 0 && t.Len() >= maxAccesses {
 			return nil, fmt.Errorf("%w: more than %d accesses", ErrTooLarge, maxAccesses)
 		}
-		accs = append(accs, a)
+		t.Cycles = append(t.Cycles, a.Cycle)
+		t.Addrs = append(t.Addrs, a.Addr)
+		t.Kinds = append(t.Kinds, a.Kind)
 	}
-	t := &Trace{Name: d.Name(), Accesses: accs, Cycles: d.Cycles()}
+	t.Name, t.Span = d.Name(), d.Cycles()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -598,10 +602,10 @@ func EncodeStream(w io.Writer, t *Trace) error {
 	if err != nil {
 		return err
 	}
-	for _, a := range t.Accesses {
-		if err := e.Write(a); err != nil {
+	for i, c := range t.Cycles {
+		if err := e.Write(Access{Cycle: c, Addr: t.Addrs[i], Kind: t.Kinds[i]}); err != nil {
 			return err
 		}
 	}
-	return e.Close(t.Cycles)
+	return e.Close(t.Span)
 }

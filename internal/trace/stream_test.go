@@ -22,8 +22,17 @@ func randomTrace(n int, seed int64) *Trace {
 		cycle += uint64(rng.Intn(7))
 		tr.Append(cycle, uint64(rng.Intn(1<<24)), Kind(rng.Intn(2)))
 	}
-	tr.Cycles = cycle + uint64(rng.Intn(100)) + 1
+	tr.Span = cycle + uint64(rng.Intn(100)) + 1
 	return tr
+}
+
+// accesses lists tr's accesses as the records the Encoder takes.
+func accesses(tr *Trace) []Access {
+	out := make([]Access, tr.Len())
+	for i := range out {
+		out[i] = Access{Cycle: tr.Cycles[i], Addr: tr.Addrs[i], Kind: tr.Kinds[i]}
+	}
+	return out
 }
 
 // TestEncoderDecoderRoundTrip streams a trace out in v2 and back through
@@ -35,15 +44,15 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range tr.Accesses {
+	for _, a := range accesses(tr) {
 		if err := enc.Write(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if enc.Encoded() != uint64(len(tr.Accesses)) {
-		t.Errorf("Encoded = %d, want %d", enc.Encoded(), len(tr.Accesses))
+	if enc.Encoded() != uint64(tr.Len()) {
+		t.Errorf("Encoded = %d, want %d", enc.Encoded(), tr.Len())
 	}
-	if err := enc.Close(tr.Cycles); err != nil {
+	if err := enc.Close(tr.Span); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +75,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 // TestEncodeStreamHelper round-trips the one-call form, empty trace
 // included.
 func TestEncodeStreamHelper(t *testing.T) {
-	for _, tr := range []*Trace{sampleTrace(), {Name: "empty", Cycles: 9}, {}} {
+	for _, tr := range []*Trace{sampleTrace(), {Name: "empty", Span: 9}, {}} {
 		var buf bytes.Buffer
 		if err := EncodeStream(&buf, tr); err != nil {
 			t.Fatal(err)
@@ -76,8 +85,8 @@ func TestEncodeStreamHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Close(0) on an empty trace keeps the explicit span; Close with
-		// tr.Cycles preserves it exactly.
-		if !reflect.DeepEqual(tr, got) && !(tr.Len() == 0 && got.Len() == 0 && got.Cycles == tr.Cycles) {
+		// tr.Span preserves it exactly.
+		if !reflect.DeepEqual(tr, got) && !(tr.Len() == 0 && got.Len() == 0 && got.Span == tr.Span) {
 			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
 		}
 	}
@@ -143,7 +152,7 @@ func TestDecoderNextIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range tr.Accesses {
+	for i, want := range accesses(tr) {
 		a, err := d.Next()
 		if err != nil {
 			t.Fatalf("access %d: %v", i, err)
@@ -155,8 +164,8 @@ func TestDecoderNextIncremental(t *testing.T) {
 	if _, err := d.Next(); err != io.EOF {
 		t.Fatalf("tail Next err = %v, want io.EOF", err)
 	}
-	if d.Cycles() != tr.Cycles {
-		t.Errorf("Cycles = %d, want %d", d.Cycles(), tr.Cycles)
+	if d.Cycles() != tr.Span {
+		t.Errorf("Cycles = %d, want %d", d.Cycles(), tr.Span)
 	}
 	if d.Decoded() != uint64(tr.Len()) {
 		t.Errorf("Decoded = %d, want %d", d.Decoded(), tr.Len())
@@ -222,7 +231,7 @@ func TestReadBinaryAbsurdCountRejected(t *testing.T) {
 func TestNewlineNameRejected(t *testing.T) {
 	evil := &Trace{Name: "evil\n# cycles 999999"}
 	evil.Append(0, 0x40, Read)
-	evil.Cycles = 10
+	evil.Span = 10
 
 	if err := evil.Validate(); !errors.Is(err, ErrBadName) {
 		t.Errorf("Validate err = %v, want ErrBadName", err)
@@ -247,7 +256,7 @@ func TestNewlineNameRejected(t *testing.T) {
 func TestWriteTextNameRoundTrip(t *testing.T) {
 	tr := &Trace{Name: "evil\n# cycles 999999"}
 	tr.Append(0, 0x40, Read)
-	tr.Cycles = 10
+	tr.Span = 10
 	var buf bytes.Buffer
 	if err := WriteText(&buf, tr); err != nil {
 		return // rejected up front: nothing written, nothing to corrupt
@@ -256,9 +265,9 @@ func TestWriteTextNameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("writer emitted an unreadable stream: %v", err)
 	}
-	if got.Name != tr.Name || got.Cycles != tr.Cycles {
+	if got.Name != tr.Name || got.Span != tr.Span {
 		t.Fatalf("newline in name corrupted the round-trip: name %q cycles %d, want %q cycles %d",
-			got.Name, got.Cycles, tr.Name, tr.Cycles)
+			got.Name, got.Span, tr.Name, tr.Span)
 	}
 }
 
@@ -324,7 +333,7 @@ func TestNamePreservedAcrossFormats(t *testing.T) {
 	}
 
 	for _, bad := range []string{" x", "x ", " "} {
-		if err := (&Trace{Name: bad, Cycles: 1}).Validate(); !errors.Is(err, ErrBadName) {
+		if err := (&Trace{Name: bad, Span: 1}).Validate(); !errors.Is(err, ErrBadName) {
 			t.Errorf("name %q: err = %v, want ErrBadName", bad, err)
 		}
 	}
@@ -333,7 +342,7 @@ func TestNamePreservedAcrossFormats(t *testing.T) {
 // TestLongNameRejected bounds names on both sides.
 func TestLongNameRejected(t *testing.T) {
 	long := strings.Repeat("n", maxNameLen+1)
-	tr := &Trace{Name: long, Cycles: 1}
+	tr := &Trace{Name: long, Span: 1}
 	if err := tr.Validate(); !errors.Is(err, ErrBadName) {
 		t.Errorf("Validate err = %v, want ErrBadName", err)
 	}
@@ -508,13 +517,13 @@ func TestV2StreamingPipe(t *testing.T) {
 			pw.CloseWithError(err)
 			return
 		}
-		for _, a := range tr.Accesses {
+		for _, a := range accesses(tr) {
 			if err := enc.Write(a); err != nil {
 				pw.CloseWithError(err)
 				return
 			}
 		}
-		if err := enc.Close(tr.Cycles); err != nil {
+		if err := enc.Close(tr.Span); err != nil {
 			pw.CloseWithError(err)
 		}
 		// Deliberately leave the pipe open: the decoder must not need
@@ -603,8 +612,8 @@ func TestEncoderEnforcesInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycles != 11 {
-		t.Errorf("inferred span = %d, want 11", got.Cycles)
+	if got.Span != 11 {
+		t.Errorf("inferred span = %d, want 11", got.Span)
 	}
 }
 

@@ -15,7 +15,7 @@ func sampleTrace() *Trace {
 	t.Append(3, 0x1010, Read)
 	t.Append(5, 0x0fff, Write)
 	t.Append(9, 0x2000, Read)
-	t.Cycles = 100
+	t.Span = 100
 	return t
 }
 
@@ -36,15 +36,15 @@ func TestValidate(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	bad := &Trace{Accesses: []Access{{Cycle: 5}, {Cycle: 3}}, Cycles: 10}
+	bad := &Trace{Cycles: []uint64{5, 3}, Addrs: []uint64{0, 0}, Kinds: []Kind{Read, Read}, Span: 10}
 	if err := bad.Validate(); err == nil {
 		t.Error("unordered trace accepted")
 	}
-	short := &Trace{Accesses: []Access{{Cycle: 5}}, Cycles: 5}
+	short := &Trace{Cycles: []uint64{5}, Addrs: []uint64{0}, Kinds: []Kind{Read}, Span: 5}
 	if err := short.Validate(); err == nil {
 		t.Error("span not covering last access accepted")
 	}
-	badKind := &Trace{Accesses: []Access{{Cycle: 1, Kind: Kind(7)}}, Cycles: 10}
+	badKind := &Trace{Cycles: []uint64{1}, Addrs: []uint64{0}, Kinds: []Kind{Kind(7)}, Span: 10}
 	if err := badKind.Validate(); err == nil {
 		t.Error("invalid kind accepted")
 	}
@@ -53,13 +53,13 @@ func TestValidate(t *testing.T) {
 func TestAppendExtendsSpan(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(10, 0x40, Read)
-	if tr.Cycles != 11 {
-		t.Errorf("Cycles = %d, want 11", tr.Cycles)
+	if tr.Span != 11 {
+		t.Errorf("Span = %d, want 11", tr.Span)
 	}
-	tr.Cycles = 1000
+	tr.Span = 1000
 	tr.Append(20, 0x80, Write)
-	if tr.Cycles != 1000 {
-		t.Errorf("Cycles shrank to %d", tr.Cycles)
+	if tr.Span != 1000 {
+		t.Errorf("Span shrank to %d", tr.Span)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRoundTripEmpty(t *testing.T) {
-	tr := &Trace{Name: "empty", Cycles: 42}
+	tr := &Trace{Name: "empty", Span: 42}
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "empty" || got.Cycles != 42 || got.Len() != 0 {
+	if got.Name != "empty" || got.Span != 42 || got.Len() != 0 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 func TestBinaryRejectsInvalidTrace(t *testing.T) {
-	bad := &Trace{Accesses: []Access{{Cycle: 5}, {Cycle: 3}}, Cycles: 10}
+	bad := &Trace{Cycles: []uint64{5, 3}, Addrs: []uint64{0, 0}, Kinds: []Kind{Read, Read}, Span: 10}
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, bad); err == nil {
 		t.Error("WriteBinary accepted unordered trace")
@@ -184,8 +184,8 @@ func TestTextInfersSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycles != 8 {
-		t.Errorf("inferred span = %d, want 8", got.Cycles)
+	if got.Span != 8 {
+		t.Errorf("inferred span = %d, want 8", got.Span)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			cycle += uint64(deltas[i])
 			tr.Append(cycle, uint64(addrs[i]), Kind(i%2))
 		}
-		tr.Cycles += uint64(span)
+		tr.Span += uint64(span)
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, tr); err != nil {
 			return false

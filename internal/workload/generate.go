@@ -130,7 +130,7 @@ func (p Profile) Generate(gp GenParams) (*trace.Trace, error) {
 			}
 		}
 	}
-	tr.Cycles = uint64(gp.Phases) * phaseCycles
+	tr.Span = uint64(gp.Phases) * phaseCycles
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generated invalid trace: %w", err)
 	}

@@ -52,13 +52,12 @@ func MeasureSignature(tr *trace.Trace, g cache.Geometry, banks int, breakeven ui
 		return nil, err
 	}
 	shift := uint(g.IndexBits() - p)
-	for i := range tr.Accesses {
-		a := &tr.Accesses[i]
-		if err := pm.Access(int(g.Index(a.Addr)>>shift), a.Cycle); err != nil {
+	for i, a := range tr.Addrs {
+		if err := pm.Access(int(g.Index(a)>>shift), tr.Cycles[i]); err != nil {
 			return nil, fmt.Errorf("workload: access %d: %w", i, err)
 		}
 	}
-	if err := pm.Finish(tr.Cycles); err != nil {
+	if err := pm.Finish(tr.Span); err != nil {
 		return nil, err
 	}
 	useful, err := pm.UsefulIdlenessVector()

@@ -81,7 +81,7 @@ func TestMeasureSignatureErrors(t *testing.T) {
 	g := geom16k()
 	tr := &trace.Trace{Name: "t"}
 	tr.Append(0, 0x40, trace.Read)
-	tr.Cycles = 100
+	tr.Span = 100
 	if _, err := MeasureSignature(tr, cache.Geometry{}, 4, 60); err == nil {
 		t.Error("bad geometry accepted")
 	}
@@ -94,10 +94,10 @@ func TestMeasureSignatureErrors(t *testing.T) {
 	if _, err := MeasureSignature(tr, g, 4, 0); err == nil {
 		t.Error("zero breakeven accepted")
 	}
-	if _, err := MeasureSignature(&trace.Trace{Cycles: 10}, g, 4, 60); err == nil {
+	if _, err := MeasureSignature(&trace.Trace{Span: 10}, g, 4, 60); err == nil {
 		t.Error("empty trace accepted")
 	}
-	bad := &trace.Trace{Accesses: []trace.Access{{Cycle: 5}, {Cycle: 1}}, Cycles: 10}
+	bad := &trace.Trace{Cycles: []uint64{5, 1}, Addrs: []uint64{0, 0}, Kinds: []trace.Kind{trace.Read, trace.Read}, Span: 10}
 	if _, err := MeasureSignature(bad, g, 4, 60); err == nil {
 		t.Error("unordered trace accepted")
 	}

@@ -128,11 +128,11 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != b.Len() || a.Cycles != b.Cycles {
-		t.Fatalf("nondeterministic shape: %d/%d vs %d/%d", a.Len(), a.Cycles, b.Len(), b.Cycles)
+	if a.Len() != b.Len() || a.Span != b.Span {
+		t.Fatalf("nondeterministic shape: %d/%d vs %d/%d", a.Len(), a.Span, b.Len(), b.Span)
 	}
-	for i := range a.Accesses {
-		if a.Accesses[i] != b.Accesses[i] {
+	for i := range a.Cycles {
+		if a.Cycles[i] != b.Cycles[i] || a.Addrs[i] != b.Addrs[i] || a.Kinds[i] != b.Kinds[i] {
 			t.Fatalf("nondeterministic at access %d", i)
 		}
 	}
@@ -151,8 +151,8 @@ func TestGenerateValidTrace(t *testing.T) {
 	if tr.Name != "dijkstra" {
 		t.Errorf("trace name %q", tr.Name)
 	}
-	if tr.Cycles != uint64(32*128*3) {
-		t.Errorf("span = %d, want %d", tr.Cycles, 32*128*3)
+	if tr.Span != uint64(32*128*3) {
+		t.Errorf("span = %d, want %d", tr.Span, 32*128*3)
 	}
 	st := trace.ComputeStats(tr, 16)
 	if st.Writes == 0 || st.Reads == 0 {
@@ -185,13 +185,13 @@ func measureQuarterIdleness(t *testing.T, tr *trace.Trace, g cache.Geometry, ban
 		t.Fatal(err)
 	}
 	shift := g.IndexBits() - log2(banks)
-	for _, a := range tr.Accesses {
-		region := int(g.Index(a.Addr) >> shift)
-		if err := pm.Access(region, a.Cycle); err != nil {
+	for i, a := range tr.Addrs {
+		region := int(g.Index(a) >> shift)
+		if err := pm.Access(region, tr.Cycles[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pm.Finish(tr.Cycles); err != nil {
+	if err := pm.Finish(tr.Span); err != nil {
 		t.Fatal(err)
 	}
 	v, err := pm.UsefulIdlenessVector()

@@ -58,9 +58,6 @@ type (
 	Config = core.Config
 	// PartitionedCache is a live simulation instance.
 	PartitionedCache = core.PartitionedCache
-	// Batch is a reusable chunk buffer for the batched access kernel
-	// (PartitionedCache.AccessBatch / RunBuffered).
-	Batch = core.Batch
 	// RunResult is the outcome of simulating one trace.
 	RunResult = core.RunResult
 	// MonolithicResult is the unmanaged non-partitioned reference run.
@@ -77,9 +74,9 @@ type (
 	Tech = power.Tech
 	// EnergyBreakdown itemises a run's energy.
 	EnergyBreakdown = power.Breakdown
-	// Trace is an address trace.
+	// Trace is an address trace, held as parallel columns.
 	Trace = trace.Trace
-	// Access is one trace record.
+	// Access is one trace record, as the streaming codecs exchange it.
 	Access = trace.Access
 	// WorkloadProfile is a synthetic benchmark description.
 	WorkloadProfile = workload.Profile
@@ -197,10 +194,6 @@ func NewGeometry(sizeKB int, lineBytes uint64) Geometry {
 
 // New builds a partitioned cache simulator.
 func New(cfg Config) (*PartitionedCache, error) { return core.New(cfg) }
-
-// NewBatch returns a reusable chunk buffer for RunBuffered; size < 1
-// selects the default chunk length.
-func NewBatch(size int) *Batch { return core.NewBatch(size) }
 
 // RunMonolithic simulates the conventional unmanaged cache.
 func RunMonolithic(g Geometry, tech Tech, tr *Trace) (*MonolithicResult, error) {

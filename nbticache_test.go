@@ -197,9 +197,9 @@ func TestUploadTraceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Len() != tr.Len() || decoded.Cycles != tr.Cycles {
+	if decoded.Len() != tr.Len() || decoded.Span != tr.Span {
 		t.Fatalf("codec round trip lost shape: %d/%d vs %d/%d",
-			decoded.Len(), decoded.Cycles, tr.Len(), tr.Cycles)
+			decoded.Len(), decoded.Span, tr.Len(), tr.Span)
 	}
 
 	e, err := NewEngine(EngineOptions{Workers: 2})
