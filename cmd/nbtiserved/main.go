@@ -30,14 +30,15 @@
 //
 // Membership is elastic: a health-probe loop evicts unresponsive peers
 // (after consecutive failures, never on one transient miss) and
-// re-admits recovered ones, replaying the results their disk stores
-// already hold into open sweeps. New nodes join a running coordinator
-// at runtime by starting with -join http://coordinator -advertise
+// re-admits recovered ones. New nodes join a running coordinator at
+// runtime by starting with -join http://coordinator -advertise
 // http://self. With -replicas N, merged job results are written through
 // to N ring owners so a dead node's results stay readable. A
-// coordinator started with -data-dir checkpoints every in-flight sweep
-// and resumes unfinished ones on restart, recovering already-merged
-// jobs from the shard caches instead of re-simulating them.
+// coordinator started with -data-dir checkpoints every in-flight
+// sweep's ID and spec once and resumes unfinished ones on restart. The
+// one recovery path is re-dispatch: every unresolved job goes to its
+// current ring owner, whose result cache answers the jobs it already
+// holds without simulating them again.
 //
 //	POST   /v1/sweeps       submit a sweep (engine.SweepSpec JSON) -> 202 {id, job_ids}
 //	GET    /v1/sweeps/{id}  progress + resolved results
@@ -105,7 +106,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/ (CPU/heap profiling of the live simulation hot path)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs; when set, run as a cluster coordinator over them instead of a simulation node")
 	ringReplicas := flag.Int("ring-replicas", cluster.DefaultReplicas, "coordinator mode: consistent-hash virtual nodes per peer")
-	pollInterval := flag.Duration("poll-interval", cluster.DefaultPollInterval, "coordinator mode: sweep-state checkpoint cadence, and the base of the stalled-round and stream-reopen backoff")
+	pollInterval := flag.Duration("poll-interval", cluster.DefaultPollInterval, "coordinator mode: the base of the stalled-round and stream-reopen backoff")
 	replicas := flag.Int("replicas", 1, "coordinator mode: ring owners each job result is written to (1 = no replication)")
 	healthInterval := flag.Duration("health-interval", cluster.DefaultHealthInterval, "coordinator mode: membership health-probe cadence (negative disables the probe loop)")
 	join := flag.String("join", "", "node mode: coordinator base URL to announce this node to at startup (elastic join; requires -advertise)")

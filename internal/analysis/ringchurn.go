@@ -13,11 +13,11 @@ import (
 // (`mutateRing`), which is where join/rejoin/evict accounting and the
 // alive-flag bookkeeping live. A bare `ring.Add` / `ring.Remove` on the
 // live ring bypasses that bookkeeping: the ring and the shard table
-// drift, churn metrics lie, and a rejoined peer skips its inventory
-// replay. The analyzer flags direct Add/Remove calls on a Ring-shaped
-// type (a named type "Ring" that also has an "Owners" method) anywhere
-// except the sanctioned construction and mutation sites: NewRing,
-// mutateRing, Ring's own methods, and test files.
+// drift, and churn metrics lie. The analyzer flags direct Add/Remove
+// calls on a Ring-shaped type (a named type "Ring" that also has an
+// "Owners" method) anywhere except the sanctioned construction and
+// mutation sites: NewRing, mutateRing, Ring's own methods, and test
+// files.
 var Ringchurn = &Analyzer{
 	Name: "ringchurn",
 	Doc: "report Ring.Add/Remove calls outside the guarded mutation API " +

@@ -240,15 +240,6 @@ func (sc *shardClient) health(ctx context.Context, peer string) error {
 	return sc.doJSON(ctx, http.MethodGet, peer+"/healthz", nil, "", nil)
 }
 
-// inventory lists the job-result and trace content addresses a peer
-// already holds — the rejoin replay's source of truth.
-func (sc *shardClient) inventory(ctx context.Context, peer string) (httpapi.InventoryResponse, error) {
-	defer sc.observe("inventory")()
-	var out httpapi.InventoryResponse
-	err := sc.doJSON(ctx, http.MethodGet, peer+"/v1/cluster/inventory", nil, "", &out)
-	return out, err
-}
-
 // putJob writes a completed job result through to a replica owner. The
 // receiving engine re-derives the content address and rejects a
 // mismatch, so a corrupt write-through cannot poison a replica's cache.

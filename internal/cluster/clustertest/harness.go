@@ -6,11 +6,14 @@
 // Fault injection covers the scenarios elastic membership is proven
 // by: Kill (crash a node), Restart (bring it back on the same address
 // with the same data dir, so its disk CAS survives), Partition (the
-// node answers 503 to everything — reachable but unhealthy), StartNode
-// (a brand-new node for runtime join), and coordinator restart via
-// CoordinatorAt over a shared state directory. Every node's engine
-// stays reachable in-process so tests can assert on shard-local state
-// (stored traces, counters) that the HTTP surface would hide.
+// node answers 503 to everything — reachable but unhealthy),
+// SeverConnections (break its open event streams), ForgetStreams (404
+// its next event-stream opens, as retention eviction of a finished
+// sub-sweep does), StartNode (a brand-new node for runtime join), and
+// coordinator restart via CoordinatorAt over a shared state directory.
+// Every node's engine stays reachable in-process so tests can assert on
+// shard-local state (stored traces, counters) that the HTTP surface
+// would hide.
 package clustertest
 
 import (
@@ -18,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,9 +43,8 @@ type Options struct {
 	// content-addressed determinism depends on), so failure-injection
 	// tests can reliably kill a node mid-sweep.
 	GenDelay time.Duration
-	// PollInterval is the coordinator's checkpoint, stall-backoff and
-	// stream-reopen cadence; <= 0 means 25ms (fast, suited to
-	// in-process latencies).
+	// PollInterval is the coordinator's stall-backoff and stream-reopen
+	// cadence; <= 0 means 25ms (fast, suited to in-process latencies).
 	PollInterval time.Duration
 	// HealthInterval is the coordinator's membership probe cadence;
 	// 0 means 50ms (fast rejoin for in-process latencies), negative
@@ -64,8 +67,8 @@ type Node struct {
 	// closed); read it after the restart you scripted, not across it.
 	Engine *engine.Engine
 	// DataDir is the node's private persistence root (a temp dir),
-	// shared across Restart — that continuity is what the rejoin
-	// inventory replay proves out.
+	// shared across Restart — that continuity is what lets a restarted
+	// node answer re-dispatched jobs from its result cache.
 	DataDir string
 
 	cl   *Cluster
@@ -75,25 +78,36 @@ type Node struct {
 	ts          *httptest.Server
 	dead        bool
 	partitioned bool
+	// forget is how many more event-stream opens answer 404 (see
+	// ForgetStreams).
+	forget int
 	// hold, while non-nil, stalls every trace generation on the node
 	// until Kill closes it (see HoldGeneration).
 	hold chan struct{}
 }
 
-// handler wraps a node's route table with the partition fault: while
-// partitioned, every request — health probes included — answers 503,
-// which to the coordinator is a reachable-but-unhealthy peer.
+// handler wraps a node's route table with the partition and
+// forgotten-stream faults: while partitioned, every request — health
+// probes included — answers 503, which to the coordinator is a
+// reachable-but-unhealthy peer; a forgotten stream open answers 404.
 func (n *Node) handler(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()
 		part := n.partitioned
+		forget := n.forget > 0 && r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events")
+		if forget {
+			n.forget--
+		}
 		n.mu.Unlock()
-		if part {
+		switch {
+		case part:
 			w.Header().Set("Retry-After", "1")
 			httpapi.WriteError(w, http.StatusServiceUnavailable, "partitioned (clustertest fault)")
-			return
+		case forget:
+			httpapi.WriteError(w, http.StatusNotFound, "no sweep (clustertest fault)")
+		default:
+			h.ServeHTTP(w, r)
 		}
-		h.ServeHTTP(w, r)
 	})
 }
 
@@ -216,6 +230,15 @@ func (n *Node) SeverConnections() {
 	ts := n.ts
 	n.mu.Unlock()
 	ts.CloseClientConnections()
+}
+
+// ForgetStreams answers the node's next k event-stream opens with 404,
+// as a node does once retention has evicted the finished sub-sweep the
+// stream belongs to. The sub-sweep itself runs on untouched.
+func (n *Node) ForgetStreams(k int) {
+	n.mu.Lock()
+	n.forget += k
+	n.mu.Unlock()
 }
 
 // Partition toggles the node's 503 fault: on=true makes every request

@@ -35,10 +35,9 @@ type Options struct {
 	// Replicas is the ring's virtual-node count per peer; <= 0 means
 	// DefaultReplicas.
 	Replicas int
-	// PollInterval paces the sweep-state checkpoints (see DataDir), the
-	// backoff between routing rounds that stall, and the pause before
-	// reopening a shard stream that delivered nothing new; <= 0 means
-	// DefaultPollInterval.
+	// PollInterval paces the backoff between routing rounds that stall
+	// and the pause before reopening a shard stream that delivered
+	// nothing new; <= 0 means DefaultPollInterval.
 	PollInterval time.Duration
 	// MaxForwardBytes caps one forwarded trace's canonical encoding;
 	// <= 0 means twice the node upload default. Size it to match the
@@ -66,10 +65,10 @@ type Options struct {
 	// many ring owners, so one node dying loses no cached work. <= 1
 	// disables replication (the dispatch owner alone holds the result).
 	OwnerReplicas int
-	// DataDir persists the coordinator's sweep state (spec, shard
-	// assignments, merged job IDs — a versioned blob per in-flight
-	// sweep under <DataDir>/sweeps) so a restarted coordinator can
-	// Resume the sweeps a crash orphaned. Empty means memory-only.
+	// DataDir persists a checkpoint of each in-flight sweep (its handle
+	// ID and spec, a versioned blob under <DataDir>/sweeps) so a
+	// restarted coordinator can Resume the sweeps a shutdown orphaned.
+	// Empty means memory-only.
 	DataDir string
 }
 
@@ -137,9 +136,6 @@ type Coordinator struct {
 	mu     sync.Mutex
 	ring   *Ring
 	shards map[string]*shardState
-	// handles tracks the open (still-routing) sweeps, so a rejoining
-	// peer's inventory replay knows which pending slots it can resolve.
-	handles map[string]*Handle
 
 	sweepsTotal     atomic.Uint64
 	jobsRouted      atomic.Uint64
@@ -155,7 +151,6 @@ type Coordinator struct {
 	replicaWriteFailures atomic.Uint64
 	replicaReads         atomic.Uint64
 	sweepsResumed        atomic.Uint64
-	jobsRecovered        atomic.Uint64
 
 	// Dataplane counters: shard streams opened (reopens included) and
 	// job results merged off them.
@@ -229,7 +224,6 @@ func New(o Options) (*Coordinator, error) {
 		stateStore:   stateStore,
 		ring:         NewRing(o.Replicas, peers...),
 		shards:       make(map[string]*shardState, len(peers)),
-		handles:      make(map[string]*Handle),
 		forwardSlots: make(chan struct{}, maxConcurrentForwards),
 		replicaSlots: make(chan struct{}, maxConcurrentReplicas),
 	}
@@ -276,8 +270,8 @@ func (c *Coordinator) Close() {
 	c.lifeStop()
 	c.wg.Wait()
 	if c.stateStore != nil {
-		// The persist loops have drained: every interrupted sweep has
-		// its final checkpoint on disk for the next coordinator's Resume.
+		// The routing loops have drained: every interrupted sweep's
+		// checkpoint is on disk for the next coordinator's Resume.
 		_ = c.stateStore.Close()
 	}
 }
@@ -379,26 +373,28 @@ func (c *Coordinator) Submit(ctx context.Context, spec engine.SweepSpec) (*Handl
 	_, span := c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
 		"sweep_id", id, "jobs", itoa(len(jobs)))
 	h := newHandle(engine.NewHandle(c.lifeCtx, id, spec, jobs, span, nil))
+	if err := c.start(h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// start registers a sweep's routing loop inside Close's barrier and
+// runs it.
+func (c *Coordinator) start(h *Handle) error {
 	c.mu.Lock()
 	if c.closed.Load() {
-		// Close won the race since the check above; registering a
+		// Close won the race since the caller's check; registering a
 		// routing goroutine now would slip past its Wait.
 		c.mu.Unlock()
 		h.Cancel()
-		return nil, fmt.Errorf("cluster: coordinator closed")
+		return fmt.Errorf("cluster: coordinator closed")
 	}
 	c.wg.Add(1)
-	c.handles[h.ID] = h
-	if c.stateStore != nil {
-		c.wg.Add(1) // the sweep's persist loop, in the same Close barrier
-	}
 	c.mu.Unlock()
-	if c.stateStore != nil {
-		go c.persistLoop(h)
-	}
 	c.sweepsTotal.Add(1)
 	go c.run(h)
-	return h, nil
+	return nil
 }
 
 // Sweep submits a sweep and blocks until the merged result is complete
@@ -427,17 +423,19 @@ const maxStalledRounds = 5
 
 // run is one sweep's routing loop: group unresolved jobs by ring owner,
 // dispatch the groups concurrently, and repeat with the survivors'
-// ring until every slot resolves. Re-dispatch rounds follow either a
-// peer failure (the ring shrinks, so those rounds are bounded by the
-// peer count) or a transient shard refusal (bounded by
-// maxStalledRounds with a backoff between attempts).
+// ring until every slot resolves. Re-dispatch is the one recovery path:
+// a slot left unresolved by a peer failure, an evicted sub-sweep or a
+// coordinator restart goes to its current ring owner, whose engine
+// answers a job it already holds from its result cache, or joins the
+// run already in flight, without simulating again. Re-dispatch rounds
+// follow either a peer failure (the ring shrinks, so those rounds are
+// bounded by the peer count) or a round that resolved nothing, such as
+// a transient shard refusal (bounded by maxStalledRounds with a backoff
+// between attempts).
 func (c *Coordinator) run(h *Handle) {
 	defer c.wg.Done()
-	defer func() {
-		c.mu.Lock()
-		delete(c.handles, h.ID)
-		c.mu.Unlock()
-	}()
+	// The checkpoint is written once, now, and settled once, on return.
+	defer c.checkpoint(h)()
 	ctx := h.Context()
 	jobs := h.Jobs()
 	stalled := 0
@@ -495,26 +493,39 @@ func (c *Coordinator) run(h *Handle) {
 // dispatch routes one group of jobs to its owning shard: forward any
 // referenced traces the shard is missing, submit the sub-sweep, follow
 // its completion stream, and merge results into the handle as they
-// resolve. On a peer failure the unmerged slots stay unresolved — the
-// routing loop re-routes them on the post-failure ring.
+// resolve. Slots it leaves unmerged stay unresolved, and the routing
+// loop re-dispatches them on the next round's ring.
 func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
-	ctx := h.Context()
-	jobs := h.Jobs()
 	if c.met.dispatch != nil {
 		start := time.Now()
 		defer func() { c.met.dispatch.Observe(time.Since(start).Seconds()) }()
 	}
+	ctx := h.Context()
+	var span *obs.ActiveSpan
 	if sc := h.SpanContext(); sc.Valid() {
 		// The dispatch span parents the shard's engine spans: the derived
 		// context carries it into every shard request, where doJSON
 		// injects it as the traceparent header.
-		var span *obs.ActiveSpan
 		ctx, span = c.tel.Tracer.StartSpan(obs.ContextWith(ctx, sc),
 			"coordinator.dispatch", "peer", peer, "sweep_id", h.ID, "jobs", itoa(len(slots)))
-		defer span.End()
 	}
-	// Every distinct uploaded trace this group references must be
-	// resident on the shard before the sub-sweep submits.
+	subID, slots := c.submitGroup(ctx, h, peer, slots)
+	// The span covers trace forwarding and the submit; the shard's
+	// engine.sweep span covers the run. Ending it before the stream can
+	// merge the sweep's last result means a sweep never reports done
+	// while its span tree still lacks a dispatch span.
+	span.End()
+	if subID != "" {
+		c.follow(ctx, h, peer, subID, slots)
+	}
+}
+
+// submitGroup makes every uploaded trace the group references resident
+// on the shard, then submits the group as one sub-sweep. It returns the
+// sub-sweep's ID, or "" when nothing was submitted, and the slots the
+// sub-sweep carries: jobs whose trace cannot be placed fail here.
+func (c *Coordinator) submitGroup(ctx context.Context, h *Handle, peer string, slots []int) (string, []int) {
+	jobs := h.Jobs()
 	need := make(map[string]bool)
 	for _, s := range slots {
 		if id := jobs[s].TraceID; id != "" {
@@ -545,16 +556,16 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 			// A healthy shard saying "not right now" (upload gate,
 			// full trace store): leave the slots pending for the next
 			// backoff round instead of condemning the peer.
-			return
+			return "", nil
 		default:
 			if ctx.Err() == nil {
 				c.failPeer(peer)
 			}
-			return
+			return "", nil
 		}
 	}
 	if len(slots) == 0 {
-		return
+		return "", nil
 	}
 
 	group := make([]engine.JobSpec, len(slots))
@@ -572,13 +583,12 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 			// resident elsewhere, so leave the slots pending: the next
 			// round re-probes and re-forwards (and fails them through
 			// errTraceUnavailable if it is truly gone everywhere).
-			return
 		case isPermanent(err):
 			c.failSlots(h, slots, err)
 		default:
 			c.failPeer(peer)
 		}
-		return
+		return "", nil
 	}
 	// Routed/retried count accepted dispatches only — a group turned
 	// back before the sub-sweep submitted (trace-forward stall, gate
@@ -591,7 +601,6 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 			retried++
 		}
 	}
-	h.setAssigned(slots, peer)
 	c.jobsRouted.Add(uint64(len(slots)))
 	c.jobsRetried.Add(uint64(retried))
 	c.mu.Lock()
@@ -600,33 +609,33 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 		st.retried += uint64(retried)
 	}
 	c.mu.Unlock()
+	return sub.ID, slots
+}
 
-	// Follow the sub-sweep's completion stream to its done frame,
-	// merging events the moment they arrive, so sweep latency is the
-	// shards' compute time. A severed stream reopens at its cursor — at
-	// once the first time, then after a PollInterval pause whenever the
-	// previous stream delivered nothing new. A stream that cannot be
-	// opened is classified like any other shard answer.
+// follow reads a submitted sub-sweep's completion stream to its done
+// frame, merging events the moment they arrive, so sweep latency is the
+// shards' compute time. A severed stream reopens at its cursor — at
+// once the first time, then after a PollInterval pause whenever the
+// previous stream delivered nothing new. A stream that cannot be opened
+// is classified like any other shard answer.
+func (c *Coordinator) follow(ctx context.Context, h *Handle, peer, subID string, slots []int) {
 	cursor := 0
 	for reopens := 0; ; reopens++ {
-		next, done, err := c.streamSubSweep(ctx, h, peer, sub.ID, cursor)
+		next, done, err := c.streamSubSweep(ctx, h, peer, subID, cursor)
 		var se *statusError
 		switch {
 		case done:
 			return
 		case ctx.Err() != nil:
-			c.cancelRemote(peer, sub.ID)
+			c.cancelRemote(peer, subID)
 			return
 		case err == nil: // severed mid-sweep: reopen below
-		case errors.As(err, &se) && se.Code == http.StatusNotFound:
-			// The sub-sweep finished and was evicted by the shard's
-			// retention before the stream reopened. The results are not
-			// lost — they live in the shard's content-addressed job cache
-			// — so recover them individually; anything unrecovered stays
-			// pending and re-dispatches.
-			c.recoverJobs(ctx, h, peer, slots)
-			return
-		case isTransient(err): // pending; the routing loop backs off and retries
+		case errors.As(err, &se) && se.Code == http.StatusNotFound,
+			isTransient(err):
+			// Pending: the next round re-dispatches the unmerged slots.
+			// A 404 means the sub-sweep finished and the shard's
+			// retention evicted it before the stream reopened; the
+			// owner's result cache then answers the re-dispatch.
 			return
 		case isPermanent(err):
 			c.failSlots(h, slots, err) // resolved slots are screened by resolve's exactly-once check
@@ -638,7 +647,7 @@ func (c *Coordinator) dispatch(h *Handle, peer string, slots []int) {
 		if reopens > 0 && next == cursor {
 			select {
 			case <-ctx.Done():
-				c.cancelRemote(peer, sub.ID)
+				c.cancelRemote(peer, subID)
 				return
 			case <-time.After(c.poll):
 			}
@@ -680,26 +689,13 @@ func (c *Coordinator) streamSubSweep(ctx context.Context, h *Handle, peer, subID
 				continue
 			}
 			if slot, ok := h.slot[ev.Job.ID]; ok {
-				c.mergeResult(h, slot, peer, ev.Job, &c.eventsStreamed)
+				c.mergeResult(h, slot, peer, ev.Job)
 			}
 		case "done":
 			if st, err := frame.DoneStatus(); err == nil && st.State != "running" {
 				return cursor, true, nil
 			}
 		}
-	}
-}
-
-// recoverJobs resolves a dispatch group's jobs directly from a shard's
-// content-addressed job cache, for when the sub-sweep handle itself is
-// gone (evicted by retention). Unrecoverable slots stay pending.
-func (c *Coordinator) recoverJobs(ctx context.Context, h *Handle, peer string, slots []int) {
-	for _, s := range slots {
-		res, found, err := c.client.job(ctx, peer, h.Jobs()[s].ID())
-		if err != nil || !found {
-			continue
-		}
-		c.mergeResult(h, s, peer, res, nil)
 	}
 }
 
@@ -841,16 +837,13 @@ type Stats struct {
 	// previously evicted peer. ReplicaWrites/ReplicaWriteFailures count
 	// replicated result write-throughs; ReplicaReads counts job reads
 	// served by a non-primary ring owner. SweepsResumed counts sweeps a
-	// restarted coordinator picked back up, and JobsRecovered the slots
-	// those sweeps (or a rejoining peer's inventory replay) resolved
-	// from an existing cache entry instead of a fresh dispatch.
+	// restarted coordinator picked back up.
 	RingJoins            uint64 `json:"ring_joins"`
 	RingRejoins          uint64 `json:"ring_rejoins"`
 	ReplicaWrites        uint64 `json:"replica_writes"`
 	ReplicaWriteFailures uint64 `json:"replica_write_failures"`
 	ReplicaReads         uint64 `json:"replica_reads"`
 	SweepsResumed        uint64 `json:"sweeps_resumed"`
-	JobsRecovered        uint64 `json:"jobs_recovered"`
 
 	// Dataplane counters. StreamsOpened counts shard completion streams
 	// opened (a reopen after a sever counts again), EventsStreamed the
@@ -894,7 +887,6 @@ func (c *Coordinator) Stats() Stats {
 		ReplicaWriteFailures: c.replicaWriteFailures.Load(),
 		ReplicaReads:         c.replicaReads.Load(),
 		SweepsResumed:        c.sweepsResumed.Load(),
-		JobsRecovered:        c.jobsRecovered.Load(),
 
 		StreamsOpened:  c.streamsOpened.Load(),
 		EventsStreamed: c.eventsStreamed.Load(),

@@ -151,8 +151,8 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 	victim.Kill()
 	// Restart only once the coordinator has evicted the victim. A stream
 	// reopen reaching the already-restarted victim would otherwise get a
-	// 404 and recover the sub-sweep's results from its cache, and the
-	// peer would never leave the ring, let alone rejoin it.
+	// 404 and re-dispatch the sub-sweep's slots to it, and the peer
+	// would never leave the ring, let alone rejoin it.
 	waitFor(t, 30*time.Second, func() bool { return c.Stats().AlivePeers == 2 },
 		"victim never evicted from the ring")
 	victim.Restart(t)
@@ -190,25 +190,25 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 	}
 }
 
-// TestRejoinInventoryReplay pins the blob-directory replay half of
-// rejoin: a peer whose disk CAS already holds every result is evicted
-// (partitioned behind 503s) and later heals; on rejoin its inventory
-// resolves the sweep's pending slots with zero simulations on the
-// rejoined node — proven by its RunsExecuted standing still.
-func TestRejoinInventoryReplay(t *testing.T) {
-	spec := elasticSpec("inventory-replay")
-	cl := clustertest.Start(t, 2, clustertest.Options{
-		GenDelay:       150 * time.Millisecond,
-		HealthInterval: 40 * time.Millisecond,
-	})
-	warm := cl.Nodes[1]
+// TestRejoinServesFromCache pins rejoin on the one recovery path: a
+// peer whose disk CAS already holds every result is evicted
+// (partitioned behind 503s), the sweep routes to the survivor, the peer
+// heals and rejoins, and the survivor dies with the whole sub-sweep
+// still in flight. Re-dispatch sends every job to the rejoined peer,
+// whose result cache answers it — proven by its RunsExecuted standing
+// still.
+func TestRejoinServesFromCache(t *testing.T) {
+	spec := elasticSpec("rejoin-cache")
+	cl := clustertest.Start(t, 2, clustertest.Options{HealthInterval: 40 * time.Millisecond})
+	survivor, warm := cl.Nodes[0], cl.Nodes[1]
 
 	// Pre-warm the node's cache in-process with every job of the sweep.
 	jobs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := make(map[string][]byte, len(jobs))
+	total := len(jobs)
+	wantBytes := make(map[string][]byte, total)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
@@ -241,13 +241,22 @@ func TestRejoinInventoryReplay(t *testing.T) {
 	waitFor(t, 30*time.Second, func() bool { return c.Stats().AlivePeers == 1 },
 		"partitioned peer never evicted")
 
+	// Every job routes to the survivor, whose generations stall until it
+	// dies: none of them can merge from there.
+	survivor.HoldGeneration()
 	h, err := c.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Heal the partition mid-sweep: the slow survivor cannot have
-	// finished 18 x 150ms generations yet.
+	waitFor(t, 30*time.Second, func() bool { return c.Stats().JobsRouted == uint64(total) },
+		"survivor never accepted the sweep")
+
 	warm.Partition(false)
+	waitFor(t, 30*time.Second, func() bool {
+		st := c.Stats()
+		return st.AlivePeers == 2 && st.RingRejoins >= 1
+	}, "healed peer never rejoined the ring")
+	survivor.Kill()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -263,27 +272,24 @@ func TestRejoinInventoryReplay(t *testing.T) {
 	// The rejoined node served only from its cache: not one simulation.
 	if got := warm.Engine.Stats().RunsExecuted; got != warmRuns {
 		t.Errorf("rejoined node ran %d new simulations, want 0 (all %d results were already in its CAS)",
-			got-warmRuns, len(jobs))
+			got-warmRuns, total)
 	}
 	st := c.Stats()
-	if st.RingRejoins < 1 {
-		t.Errorf("ring rejoins = %d, want >= 1", st.RingRejoins)
+	if st.JobsRetried != uint64(total) {
+		t.Errorf("retried %d jobs, want all %d re-dispatched to the rejoined peer", st.JobsRetried, total)
 	}
-	if st.JobsRecovered < 1 {
-		t.Errorf("jobs recovered = %d, want >= 1 (the inventory replay resolved pending slots)", st.JobsRecovered)
-	}
-	if st.JobsMerged != uint64(len(jobs)) {
-		t.Errorf("merged %d, want %d", st.JobsMerged, len(jobs))
+	if st.JobsMerged != uint64(total) {
+		t.Errorf("merged %d, want %d", st.JobsMerged, total)
 	}
 }
 
 // TestCoordinatorRestartMidSweep is the coordinator-HA acceptance
 // scenario: the coordinator is closed mid-sweep and a new one over the
 // same state directory resumes the sweep from its persisted checkpoint.
-// The merged sweep is byte-identical to the 1-shard reference,
-// already-merged jobs are recovered from the shard caches (counted, not
-// re-dispatched), and the shard engines run no more new simulations
-// than the unmerged remainder.
+// The resumed sweep re-dispatches every job once and is byte-identical
+// to the 1-shard reference; the shard caches answer the jobs merged
+// before the restart, so none of them is simulated again and the shard
+// engines run no more new simulations than the unmerged remainder.
 func TestCoordinatorRestartMidSweep(t *testing.T) {
 	spec := elasticSpec("coordinator-restart")
 	want := referenceResults(t, spec)
@@ -311,13 +317,15 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	c1.Close()
-	// Close settles the handle: whatever merged successfully is the
-	// checkpointed set the next coordinator must not re-do.
+	closeAt := time.Now()
+	// Close settles the handle: whatever merged successfully is the set
+	// the next coordinator must not simulate again.
 	st1 := h1.Status()
 	if st1.State != "canceled" || st1.Completed < 2 || st1.Completed >= total {
 		t.Fatalf("shutdown settle: %+v (want a partially merged sweep)", st1)
 	}
 	mergedAtClose := st1.Completed
+	merged := mergedSnapshot(t, h1)
 	runsAtClose := uint64(0)
 	for _, n := range cl.Nodes {
 		runsAtClose += n.Engine.Stats().RunsExecuted
@@ -348,13 +356,8 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 	if st.SweepsResumed != 1 {
 		t.Errorf("sweeps resumed = %d, want 1", st.SweepsResumed)
 	}
-	if st.JobsRecovered != uint64(mergedAtClose) {
-		t.Errorf("jobs recovered = %d, want %d (every job merged before the restart, from cache)",
-			st.JobsRecovered, mergedAtClose)
-	}
-	if distinct := st.JobsRouted - st.JobsRetried; distinct != uint64(total-mergedAtClose) {
-		t.Errorf("distinct jobs dispatched after restart = %d, want %d: an already-merged job was re-dispatched",
-			distinct, total-mergedAtClose)
+	if distinct := st.JobsRouted - st.JobsRetried; distinct != uint64(total) {
+		t.Errorf("distinct jobs dispatched after restart = %d, want all %d", distinct, total)
 	}
 	if st.JobsMerged != uint64(total) {
 		t.Errorf("merged %d, want %d", st.JobsMerged, total)
@@ -371,6 +374,7 @@ func TestCoordinatorRestartMidSweep(t *testing.T) {
 		t.Errorf("post-restart simulations = %d, want <= %d: an already-merged job was re-simulated",
 			runsAfter-runsAtClose, maxNew)
 	}
+	assertNotResimulated(t, cl, h2.TraceID(), merged, closeAt)
 
 	// The resumed sweep completed cleanly, so its checkpoint is gone: a
 	// third coordinator finds nothing to resume.
@@ -561,6 +565,50 @@ func TestStreamSeverResumesAtCursor(t *testing.T) {
 		t.Errorf("merged %d (%d streamed), want all %d off the streams", st.JobsMerged, st.EventsStreamed, total)
 	}
 	assertNotResimulated(t, cl, h.TraceID(), merged, severAt)
+}
+
+// TestEvictedSubSweepRedispatches is the evicted-sub-sweep fault
+// scenario: each shard answers its first event-stream open with 404, as
+// it does once retention has evicted a finished sub-sweep. The slots
+// stay pending and the next round re-dispatches them to the same
+// owners, whose engines answer from their result caches or join the
+// runs still in flight: the sweep finishes byte-identical to the
+// 1-shard reference with every job simulated exactly once and no peer
+// blamed.
+func TestEvictedSubSweepRedispatches(t *testing.T) {
+	spec := elasticSpec("evicted-sub-sweep")
+	want := referenceResults(t, spec)
+
+	cl := clustertest.Start(t, 3, clustertest.Options{})
+	for _, n := range cl.Nodes {
+		n.ForgetStreams(1)
+	}
+	c := cl.Coordinator(t)
+	res, err := c.Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status.State != "done" || res.Status.Failed != 0 || res.Status.Canceled != 0 {
+		t.Fatalf("sweep did not complete cleanly across the evictions: %+v", res.Status)
+	}
+	assertByteIdentical(t, want, resultsByID(t, res))
+
+	total := uint64(len(res.Jobs))
+	var runs uint64
+	for _, n := range cl.Nodes {
+		runs += n.Engine.Stats().RunsExecuted
+	}
+	if runs != total {
+		t.Errorf("shards ran %d simulations for %d jobs, want each job simulated exactly once", runs, total)
+	}
+	st := c.Stats()
+	if st.PeerFailures != 0 {
+		t.Errorf("peer failures = %d, want 0: an evicted sub-sweep is not a failed peer", st.PeerFailures)
+	}
+	if st.JobsRetried != total || st.JobsMerged != total {
+		t.Errorf("retried %d, merged %d; want every one of %d jobs re-dispatched once and merged",
+			st.JobsRetried, st.JobsMerged, total)
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

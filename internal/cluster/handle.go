@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 
 	"nbticache/internal/engine"
@@ -23,12 +22,9 @@ type Handle struct {
 	// own ordering.
 	attempts []int
 
-	// mu serialises resolve (so a merge is counted before the record
-	// that can release Wait) and guards assigned, the peer each slot was
-	// last dispatched to, which the persist loop reads for the
-	// sweep-state checkpoint.
-	mu       sync.Mutex
-	assigned []string
+	// mu serialises resolve, so a merge is counted once, before the
+	// record that can release Wait.
+	mu sync.Mutex
 }
 
 func newHandle(eh *engine.Handle) *Handle {
@@ -37,7 +33,6 @@ func newHandle(eh *engine.Handle) *Handle {
 		Handle:   eh,
 		slot:     make(map[string]int, len(jobs)),
 		attempts: make([]int, len(jobs)),
-		assigned: make([]string, len(jobs)),
 	}
 	for i, j := range jobs {
 		h.slot[j.ID()] = i
@@ -60,41 +55,6 @@ func (h *Handle) resolve(slot int, res *engine.JobResult, count func()) bool {
 		count()
 	}
 	return h.Record(slot, res)
-}
-
-// setAssigned records which peer a dispatch group went to, for the
-// sweep-state checkpoint's shard-assignment map.
-func (h *Handle) setAssigned(slots []int, peer string) {
-	h.mu.Lock()
-	for _, s := range slots {
-		h.assigned[s] = peer
-	}
-	h.mu.Unlock()
-}
-
-// snapshotState captures the sweep's persistable state: spec, the
-// shard-assignment map, and the job IDs merged so far with a successful
-// result (failed/cancelled slots re-dispatch on resume rather than
-// resurrecting a maybe-transient error).
-func (h *Handle) snapshotState() sweepState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := sweepState{
-		Handle: h.ID,
-		Spec:   h.Spec,
-		Assign: make(map[string]string),
-	}
-	jobs := h.Jobs()
-	for i, r := range h.Results() {
-		if r != nil && r.Err == "" && !r.Canceled {
-			st.Merged = append(st.Merged, jobs[i].ID())
-		}
-		if h.assigned[i] != "" {
-			st.Assign[jobs[i].ID()] = h.assigned[i]
-		}
-	}
-	sort.Strings(st.Merged)
-	return st
 }
 
 // unresolved snapshots the slots still waiting for a result.

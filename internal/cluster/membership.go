@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nbticache/internal/engine"
@@ -52,10 +50,9 @@ func (c *Coordinator) mutateRing(op ringOp, peer string) {
 
 // Join admits a peer at runtime: a brand-new peer is added to the ring
 // immediately, a known-but-evicted peer is re-admitted, and a live one
-// is a no-op. joined reports whether the ring changed. On any ring
-// change the peer's blob inventory is replayed in the background so
-// results it already holds resolve pending sweep slots without
-// re-simulation.
+// is a no-op. joined reports whether the ring changed. Pending slots
+// the peer now owns go to it on their sweep's next routing round, and
+// its result cache answers the ones it already holds.
 func (c *Coordinator) Join(peer string) (joined bool, err error) {
 	p, err := normalizePeer(peer)
 	if err != nil {
@@ -80,19 +77,12 @@ func (c *Coordinator) Join(peer string) (joined bool, err error) {
 		c.ringRejoins.Add(1)
 		joined = true
 	}
-	if joined {
-		c.wg.Add(1)
-		alive := c.ring.Len()
-		c.mu.Unlock()
-		c.log.Info("peer joined ring", "peer", p, "peers_alive", alive)
-		go func() {
-			defer c.wg.Done()
-			c.replayInventory(p)
-		}()
-		return true, nil
-	}
+	alive := c.ring.Len()
 	c.mu.Unlock()
-	return false, nil
+	if joined {
+		c.log.Info("peer joined ring", "peer", p, "peers_alive", alive)
+	}
+	return joined, nil
 }
 
 // healthLoop periodically probes every known peer — evicted ones
@@ -133,10 +123,10 @@ func (c *Coordinator) probePeers() {
 }
 
 // probePeer health-checks one peer and applies the membership verdict:
-// a healthy evicted peer rejoins (with an inventory replay), a healthy
-// live peer has its failure streak reset, and a live peer failing its
-// evictAfter'th consecutive probe is evicted. One failed probe alone
-// never evicts — that is the regression the transient-5xx test pins.
+// a healthy evicted peer rejoins, a healthy live peer has its failure
+// streak reset, and a live peer failing its evictAfter'th consecutive
+// probe is evicted. One failed probe alone never evicts — that is the
+// regression the transient-5xx test pins.
 func (c *Coordinator) probePeer(peer string) {
 	timeout := c.health
 	if timeout < 100*time.Millisecond {
@@ -165,10 +155,6 @@ func (c *Coordinator) probePeer(peer string) {
 		alive := c.ring.Len()
 		c.mu.Unlock()
 		c.log.Info("peer recovered, rejoining ring", "peer", peer, "peers_alive", alive)
-		// Replay synchronously: probePeer already runs on a bounded
-		// background goroutine, and the sooner pending slots resolve
-		// from the rejoined peer's cache the less gets re-simulated.
-		c.replayInventory(peer)
 	case healthy:
 		st.probeFails = 0
 		c.mu.Unlock()
@@ -194,81 +180,24 @@ func (c *Coordinator) probePeer(peer string) {
 	}
 }
 
-// replayInventory asks a freshly (re)joined peer what job results its
-// disk CAS already holds and resolves any matching pending slots of the
-// open sweeps from that cache — the "nothing is re-simulated" half of
-// the rejoin story. Best-effort: a failed replay costs nothing, the
-// routing loop re-dispatches as usual.
-func (c *Coordinator) replayInventory(peer string) {
-	ctx, cancel := context.WithTimeout(c.lifeCtx, 30*time.Second)
-	defer cancel()
-	inv, err := c.client.inventory(ctx, peer)
-	if err != nil {
-		c.log.Warn("inventory replay failed", "peer", peer, "error", err)
-		return
-	}
-	if len(inv.Jobs) == 0 {
-		return
-	}
-	held := make(map[string]bool, len(inv.Jobs))
-	for _, id := range inv.Jobs {
-		held[id] = true
-	}
-	for _, h := range c.openHandles() {
-		for _, s := range h.unresolved() {
-			id := h.Jobs()[s].ID()
-			if !held[id] {
-				continue
-			}
-			res, found, err := c.client.job(ctx, peer, id)
-			if err != nil || !found || res == nil || res.Canceled {
-				continue
-			}
-			c.mergeResult(h, s, peer, res, &c.jobsRecovered)
-		}
-	}
-}
-
-// openHandles snapshots the sweeps still routing, in ID order so the
-// replay walks them deterministically.
-func (c *Coordinator) openHandles() []*Handle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Handle, 0, len(c.handles))
-	for _, h := range c.handles {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// mergeResult is the single merge path: it records a result into its
-// slot exactly once, keeps the global and per-shard counters coherent —
-// counting before the record, which can release Wait — and kicks off
-// the replica write-through for successful results. via, when non-nil,
-// also counts the merge's source: &c.eventsStreamed for a shard stream,
-// &c.jobsRecovered for an existing cache entry (a rejoin replay or a
-// resumed sweep) rather than a fresh dispatch. It reports whether the
-// slot was taken.
-func (c *Coordinator) mergeResult(h *Handle, slot int, peer string, res *engine.JobResult, via *atomic.Uint64) bool {
+// mergeResult is the single merge path, fed by the shard streams: it
+// records a result into its slot exactly once, keeps the global and
+// per-shard counters coherent — counting before the record, which can
+// release Wait — and kicks off the replica write-through for successful
+// results.
+func (c *Coordinator) mergeResult(h *Handle, slot int, peer string, res *engine.JobResult) {
 	taken := h.resolve(slot, res, func() {
 		c.jobsMerged.Add(1)
-		if via != nil {
-			via.Add(1)
-		}
+		c.eventsStreamed.Add(1)
 		c.mu.Lock()
 		if st := c.shards[peer]; st != nil {
 			st.merged++
 		}
 		c.mu.Unlock()
 	})
-	if !taken {
-		return false
-	}
-	if res.Err == "" && !res.Canceled {
+	if taken && res.Err == "" && !res.Canceled {
 		c.replicateResult(peer, res)
 	}
-	return true
 }
 
 // replicateResult writes a merged job result through to its other ring
@@ -318,26 +247,6 @@ func (c *Coordinator) replicateResult(src string, res *engine.JobResult) {
 			c.replicaWrites.Add(1)
 		}
 	}()
-}
-
-// recoverResult resolves one slot from whichever live ring owner
-// already caches its result, in succession order (primary first, then
-// replicas — a replica hit counts toward ReplicaReads). Used by sweep
-// resume for job IDs the pre-restart coordinator had already merged.
-// Reports whether the slot resolved.
-func (c *Coordinator) recoverResult(ctx context.Context, h *Handle, slot int) bool {
-	id := h.Jobs()[slot].ID()
-	for i, peer := range c.jobCandidates(id) {
-		res, found, err := c.client.job(ctx, peer, id)
-		if err != nil || !found || res == nil || res.Canceled {
-			continue
-		}
-		if i > 0 {
-			c.replicaReads.Add(1)
-		}
-		return c.mergeResult(h, slot, peer, res, &c.jobsRecovered)
-	}
-	return false
 }
 
 // JoinRequest is the POST /v1/cluster/join body: the announcing node's

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,9 +8,9 @@ import (
 )
 
 // fakePeer is the minimal peer surface the membership probe path
-// touches: /healthz behind a toggleable fault, plus an empty inventory
-// for the rejoin replay. White-box on purpose — probePeer is driven
-// directly, so the test is deterministic with the health loop off.
+// touches: /healthz behind a toggleable fault. White-box on purpose —
+// probePeer is driven directly, so the test is deterministic with the
+// health loop off.
 func fakePeer(t *testing.T) (*httptest.Server, *atomic.Bool) {
 	t.Helper()
 	var unhealthy atomic.Bool
@@ -22,9 +21,6 @@ func fakePeer(t *testing.T) (*httptest.Server, *atomic.Bool) {
 			return
 		}
 		w.Write([]byte(`{"status":"ok"}`))
-	})
-	mux.HandleFunc("GET /v1/cluster/inventory", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(struct{}{})
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

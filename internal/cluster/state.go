@@ -9,16 +9,18 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
+	"nbticache/internal/cas"
 	"nbticache/internal/engine"
 )
 
 // Sweep-state blob framing: a 4-byte magic, a version byte, then the
 // JSON-encoded sweepState. The payload is JSON rather than the trace
-// blobs' packed columns because sweep state is tiny (a spec and some ID
-// lists), written at most once per PollInterval — framing discipline
-// matters here, encoding density does not.
+// blobs' packed columns because sweep state is tiny (a handle ID and a
+// spec), written once per sweep — framing discipline matters here,
+// encoding density does not. Version 1 blobs written when the state
+// also listed shard assignments and merged job IDs ("assign",
+// "merged") still decode: json.Unmarshal skips the unknown keys.
 const (
 	stateBlobMagic   = "NBSS"
 	stateBlobVersion = 1
@@ -32,8 +34,10 @@ const (
 var ErrBadState = errors.New("cluster: bad sweep-state blob")
 
 // sweepState is one in-flight sweep's persistable checkpoint: enough
-// for a restarted coordinator to rebuild the handle, recover merged
-// results from the shard caches, and re-dispatch only the remainder.
+// for a restarted coordinator to rebuild the handle and re-dispatch
+// every job. Neither field changes over the sweep's life, and the jobs
+// merged before the restart cost no simulation: their owners' result
+// caches answer the re-dispatch.
 type sweepState struct {
 	// Handle is the sweep's public ID ("csweep-N"); Resume reuses it so
 	// clients polling across the restart keep their handle.
@@ -41,13 +45,6 @@ type sweepState struct {
 	// Spec is the submitted spec, verbatim — Expand is deterministic,
 	// so the restarted coordinator rebuilds the identical job list.
 	Spec engine.SweepSpec `json:"spec"`
-	// Assign maps job ID -> the peer it was last dispatched to
-	// (diagnostic; resume re-routes on the live ring regardless).
-	Assign map[string]string `json:"assign,omitempty"`
-	// Merged lists the job IDs already merged with a successful result,
-	// sorted. Resume recovers these from the shard caches instead of
-	// re-dispatching them — the zero-re-simulation guarantee.
-	Merged []string `json:"merged,omitempty"`
 }
 
 // stateKey derives a sweep's state-blob key from its spec's canonical
@@ -105,65 +102,41 @@ func decodeSweepState(key string, blob []byte) (sweepState, error) {
 	return st, nil
 }
 
-// persistLoop checkpoints one sweep's state to the CAS for the life of
-// the sweep: an immediate checkpoint on submit (so even an instant
-// crash can resume), then one per PollInterval tick in which the merged
-// count moved. On finish, a deliberately cancelled or cleanly completed
-// sweep deletes its blob; a sweep settled by coordinator shutdown keeps
-// its final checkpoint — that blob is exactly what the next
-// coordinator's Resume picks up.
-func (c *Coordinator) persistLoop(h *Handle) {
-	defer c.wg.Done()
+// checkpoint writes a sweep's state blob when its routing loop starts
+// and returns the settle to run when the loop ends: a deliberately
+// cancelled or cleanly completed sweep deletes its blob; a sweep settled
+// by coordinator shutdown keeps it — that blob is exactly what the next
+// coordinator's Resume picks up. Both are no-ops without DataDir.
+func (c *Coordinator) checkpoint(h *Handle) (settle func()) {
+	if c.stateStore == nil {
+		return func() {}
+	}
 	key := stateKey(h.Spec)
-	lastMerged := -1
-	persist := func() {
-		st := h.snapshotState()
-		if len(st.Merged) == lastMerged {
-			return
-		}
-		lastMerged = len(st.Merged)
-		if err := c.persistState(st, key); err != nil {
-			c.log.Warn("sweep-state checkpoint failed", "sweep_id", h.ID, "error", err)
-		}
+	blob, err := encodeSweepState(sweepState{Handle: h.ID, Spec: h.Spec})
+	if err == nil {
+		err = c.stateStore.Put(key, blob)
 	}
-	persist()
-	ticker := time.NewTicker(c.poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			persist()
-		case <-h.Done():
-			status := h.Status()
-			switch {
-			case h.Cancelled():
-				// The client gave the sweep up; resuming it after a
-				// restart would countermand them.
-				_ = c.stateStore.Delete(key)
-			case status.Canceled > 0:
-				// Settled by shutdown, not answered: the final
-				// checkpoint is the resume point.
-				persist()
-			default:
-				_ = c.stateStore.Delete(key)
-			}
-			return
-		}
-	}
-}
-
-func (c *Coordinator) persistState(st sweepState, key string) error {
-	blob, err := encodeSweepState(st)
 	if err != nil {
-		return err
+		c.log.Warn("sweep-state checkpoint failed", "sweep_id", h.ID, "error", err)
 	}
-	return c.stateStore.Put(key, blob)
+	return func() {
+		// A client's cancel is final, so resuming would countermand it;
+		// a sweep with no cancelled slot finished. Only a shutdown
+		// settle leaves the resume point.
+		if h.Cancelled() || h.Status().Canceled == 0 {
+			// Not found: the write above failed, or a sweep with a
+			// byte-equal spec shared the key and settled first.
+			if err := c.stateStore.Delete(key); err != nil && !errors.Is(err, cas.ErrNotFound) {
+				c.log.Warn("sweep-state delete failed; a restart resumes the sweep", "sweep_id", h.ID, "error", err)
+			}
+		}
+	}
 }
 
 // Resume rebuilds the sweeps a previous coordinator's shutdown (or
 // crash) left checkpointed in DataDir and restarts their routing loops:
-// already-merged job IDs are recovered from the shard caches (no
-// re-simulation), the remainder re-dispatches on the live ring.
+// every job re-dispatches on the live ring, and the owners' result
+// caches answer the ones merged before the restart.
 // Undecodable blobs are quarantined (deleted, logged, skipped) — cf.
 // the disk CAS, which already quarantines checksum-corrupt files below
 // this layer. Call it once, after New and before serving; the returned
@@ -201,7 +174,8 @@ func (c *Coordinator) Resume(ctx context.Context) ([]*Handle, error) {
 	return handles, nil
 }
 
-// resumeSweep rebuilds one checkpointed sweep and restarts its loops.
+// resumeSweep rebuilds one checkpointed sweep and restarts its routing
+// loop.
 func (c *Coordinator) resumeSweep(ctx context.Context, st sweepState) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -223,38 +197,9 @@ func (c *Coordinator) resumeSweep(ctx context.Context, st sweepState) (*Handle, 
 	_, span := c.tel.Tracer.StartSpan(ctx, "coordinator.sweep",
 		"sweep_id", st.Handle, "jobs", itoa(len(jobs)), "resumed", "true")
 	h := newHandle(engine.NewHandle(c.lifeCtx, st.Handle, st.Spec, jobs, span, nil))
-	c.mu.Lock()
-	if c.closed.Load() {
-		c.mu.Unlock()
-		h.Cancel()
-		return nil, fmt.Errorf("cluster: coordinator closed")
+	if err := c.start(h); err != nil {
+		return nil, err
 	}
-	c.wg.Add(2) // resumeRun + persistLoop, inside the Close barrier
-	c.handles[h.ID] = h
-	c.mu.Unlock()
 	c.sweepsResumed.Add(1)
-	c.sweepsTotal.Add(1)
-	go c.persistLoop(h)
-	go c.resumeRun(h, st.Merged)
 	return h, nil
-}
-
-// resumeRun recovers the checkpoint's already-merged results from the
-// shard caches — cached reads, never re-simulation — then falls into
-// the normal routing loop for whatever remains (including any merged
-// ID that could not be recovered: its slot is simply still unresolved,
-// and the owning shard's content-addressed cache answers the re-dispatch
-// without re-running the simulation anyway).
-func (c *Coordinator) resumeRun(h *Handle, merged []string) {
-	for _, id := range merged {
-		if h.Context().Err() != nil {
-			break
-		}
-		slot, ok := h.slot[id]
-		if !ok {
-			continue
-		}
-		c.recoverResult(h.Context(), h, slot)
-	}
-	c.run(h) // does wg.Done and handle dereg
 }

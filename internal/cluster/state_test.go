@@ -18,8 +18,6 @@ func testSweepState() sweepState {
 	return sweepState{
 		Handle: "csweep-7",
 		Spec:   engine.SweepSpec{Name: "checkpoint", Banks: []int{2, 4}},
-		Assign: map[string]string{"job-0011223344556677": "http://shard-0:8080"},
-		Merged: []string{"job-0011223344556677", "job-8899aabbccddeeff"},
 	}
 }
 
@@ -38,6 +36,33 @@ func TestSweepStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+
+	// A version-1 blob from when the checkpoint also carried the shard
+	// assignments and the merged job IDs still decodes, to the handle
+	// ID and spec: the keys it no longer reads are skipped.
+	legacy, err := json.Marshal(struct {
+		sweepState
+		Assign map[string]string `json:"assign"`
+		Merged []string          `json:"merged"`
+	}{
+		sweepState: want,
+		Assign:     map[string]string{"job-0011223344556677": "http://shard-0:8080"},
+		Merged:     []string{"job-0011223344556677", "job-8899aabbccddeeff"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(legacy), `"merged":[`) {
+		t.Fatalf("legacy payload lacks the merged key: %s", legacy)
+	}
+	old := append(append([]byte(stateBlobMagic), stateBlobVersion), legacy...)
+	got, err = decodeSweepState(stateKey(want.Spec), old)
+	if err != nil {
+		t.Fatalf("legacy blob with assign/merged keys: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy blob decoded to %+v, want %+v", got, want)
 	}
 
 	// The key is content-addressed on the spec alone: byte-equal specs

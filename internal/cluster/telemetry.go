@@ -50,7 +50,6 @@ func (c *Coordinator) registerMetrics() {
 		{"nbtiserved_cluster_replica_write_failures_total", "counter", "Replica write-throughs that failed (best-effort; the authoritative copy already merged).", func(s Stats) float64 { return float64(s.ReplicaWriteFailures) }},
 		{"nbtiserved_cluster_replica_reads_total", "counter", "Job reads served by a ring successor instead of the primary owner.", func(s Stats) float64 { return float64(s.ReplicaReads) }},
 		{"nbtiserved_cluster_sweeps_resumed_total", "counter", "Checkpointed sweeps resumed after a coordinator restart.", func(s Stats) float64 { return float64(s.SweepsResumed) }},
-		{"nbtiserved_cluster_jobs_recovered_total", "counter", "Sweep slots resolved from an existing shard cache entry (rejoin replay or resume) instead of a fresh dispatch.", func(s Stats) float64 { return float64(s.JobsRecovered) }},
 		{"nbtiserved_cluster_shard_streams_total", "counter", "Shard completion streams opened by the dispatch path (reopens after a sever included).", func(s Stats) float64 { return float64(s.StreamsOpened) }},
 		{"nbtiserved_cluster_shard_stream_events_total", "counter", "Job results merged off shard completion streams.", func(s Stats) float64 { return float64(s.EventsStreamed) }},
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -488,23 +487,6 @@ func (e *Engine) ImportResult(res *JobResult) (created bool, err error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// ResultIDs lists the content addresses of every completed job result
-// this engine holds (memory or disk), sorted — the inventory a
-// rejoining cluster node advertises so already-computed work is
-// discovered instead of re-simulated.
-func (e *Engine) ResultIDs() []string {
-	list, err := e.resultStore.List()
-	if err != nil {
-		return nil
-	}
-	ids := make([]string, 0, len(list))
-	for _, st := range list {
-		ids = append(ids, st.Key)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // ResetRuns drops completed simulation results — including persisted

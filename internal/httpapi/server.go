@@ -122,7 +122,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/spans/{traceid}", s.getTraceSpans)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	mux.HandleFunc("PUT /v1/jobs/{id}", s.putJob)
-	mux.HandleFunc("GET /v1/cluster/inventory", s.getInventory)
 	mux.HandleFunc("POST /v1/traces", s.uploadTrace)
 	mux.HandleFunc("GET /v1/traces", s.listTraces)
 	mux.HandleFunc("GET /v1/traces/{id}", s.getTrace)
@@ -420,25 +419,6 @@ func (s *Server) putJob(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusCreated
 	}
 	WriteJSON(w, code, map[string]any{"id": id, "created": created})
-}
-
-// InventoryResponse lists the content addresses a node already holds —
-// what a rejoining peer advertises so the coordinator resolves pending
-// work from its cache instead of re-simulating.
-type InventoryResponse struct {
-	Jobs   []string `json:"jobs"`
-	Traces []string `json:"traces"`
-}
-
-// getInventory reports this node's resident job-result and trace
-// content addresses, both sorted.
-func (s *Server) getInventory(w http.ResponseWriter, _ *http.Request) {
-	infos := s.eng.TraceInfos()
-	traces := make([]string, 0, len(infos))
-	for _, info := range infos {
-		traces = append(traces, info.ID)
-	}
-	WriteJSON(w, http.StatusOK, InventoryResponse{Jobs: s.eng.ResultIDs(), Traces: traces})
 }
 
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {

@@ -21,9 +21,19 @@ import (
 
 func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
+	return heldServer(t, nil)
+}
+
+// heldServer is testServer with every trace generation blocked until
+// hold is closed; a nil hold blocks nothing.
+func heldServer(t *testing.T, hold <-chan struct{}) (*httptest.Server, *engine.Engine) {
+	t.Helper()
 	eng, err := engine.New(engine.Options{
 		Workers: 2,
 		Gen: func(g cache.Geometry) workload.GenParams {
+			if hold != nil {
+				<-hold
+			}
 			return workload.GenParams{Geometry: g, Phases: 16, AccessesPerPhase: 64}
 		},
 	})
@@ -157,7 +167,19 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestCancelOverHTTP(t *testing.T) {
-	ts, _ := testServer(t)
+	// No job can finish before the DELETE has returned, so the cancel
+	// always lands mid-sweep: unheld, the 72 small jobs can all finish
+	// first, and a finished sweep rightly stays "done".
+	hold := make(chan struct{})
+	ts, _ := heldServer(t, hold)
+	held := true
+	release := func() {
+		if held {
+			held = false
+			close(hold)
+		}
+	}
+	t.Cleanup(release) // runs before the engine's Close, even on failure
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
 		strings.NewReader(`{"banks":[2,4,8,16]}`)) // 72 jobs on 2 workers
 	if err != nil {
@@ -178,6 +200,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
+	release()
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status %d", dresp.StatusCode)
 	}
