@@ -151,12 +151,12 @@ var fileMethods = map[string]bool{
 	"Sync": true, "Close": true, "Seek": true, "Stat": true, "Truncate": true,
 }
 
-// storeMethods is the cas.Store surface; any method in this set on a
-// type named Store (or the cas package's concrete stores) counts as
-// blob I/O.
+// storeMethods is the cas.Store surface plus DiskStore's mapped read;
+// any method in this set on a type named Store (or the cas package's
+// concrete stores) counts as blob I/O.
 var storeMethods = map[string]bool{
-	"Get": true, "Put": true, "Delete": true, "List": true,
-	"Stat": true, "GetOrFill": true,
+	"Get": true, "GetBlob": true, "Put": true, "PutBehind": true,
+	"Drain": true, "Delete": true, "List": true,
 }
 
 // ioCall classifies a call as syscall-backed I/O.

@@ -11,6 +11,7 @@ import (
 // blob-store methods by this type name.
 type Store interface {
 	Delete(key string) error
+	PutBehind(key string, blob []byte) error
 }
 
 type index struct {
@@ -42,6 +43,12 @@ func (x *index) reap(s Store, key string) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	s.Delete(key) // want "lockedio: .Store..Delete while a mutex is held"
+}
+
+func (x *index) queueUnderLock(s Store, key string, blob []byte) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	s.PutBehind(key, blob) // want "lockedio: .Store..PutBehind while a mutex is held"
 }
 
 func (x *index) readSide(path string) {

@@ -6,6 +6,11 @@
 // store) are written once against the interface and gain durability by
 // configuration alone.
 //
+// A store only stores. It never runs a caller's computation: the
+// engine computes a missing value under its own single-flight and
+// hands the finished blob to PutBehind, which returns before the write
+// lands and serves the blob from a pending overlay until it does.
+//
 // Keys are the addresses the engine already computes ("job-<hex>",
 // "trace-<hex>"); values are opaque byte blobs. The store does not
 // interpret blobs, but the DiskStore frames each one with a checksum so
@@ -13,7 +18,6 @@
 package cas
 
 import (
-	"context"
 	"errors"
 	"fmt"
 )
@@ -26,14 +30,10 @@ var (
 	ErrNotFound = errors.New("cas: not found")
 	ErrClosed   = errors.New("cas: store closed")
 	ErrBadKey   = errors.New("cas: bad key")
-	// ErrTooLarge is returned by Put when a single blob alone exceeds
-	// the store's byte limit: evicting everything else still could not
-	// make it fit, so the store refuses rather than thrashing.
-	ErrTooLarge = errors.New("cas: blob exceeds store byte limit")
 )
 
-// Stat describes one stored blob. Size is the payload length (what Get
-// returns), not the on-disk framing.
+// Stat describes one stored blob, as List reports it. Size is the
+// payload length (what Get returns), not the on-disk framing.
 type Stat struct {
 	Key  string
 	Size int64
@@ -42,13 +42,14 @@ type Stat struct {
 // Metrics is a point-in-time snapshot of a store's counters. Entries
 // and Bytes are gauges; the rest are monotonic.
 type Metrics struct {
-	// Gets counts Get calls (from GetOrFill's read-through too); Hits
-	// counts the ones that returned a blob.
+	// Gets counts Get and GetBlob calls; Hits counts the ones that
+	// returned a blob.
 	Gets uint64
 	Hits uint64
-	// Puts counts blobs written; PutFailures counts writes that failed
-	// (GetOrFill still serves the computed value when the write-behind
-	// fails, so this is the only trace such a failure leaves).
+	// Puts counts blobs written; PutFailures counts PutBehind writes
+	// that failed in the background, group-commit fsyncs included (the
+	// caller had already moved on, so this is the only trace such a
+	// failure leaves).
 	Puts        uint64
 	PutFailures uint64
 	Deletes     uint64
@@ -60,16 +61,12 @@ type Metrics struct {
 	Bytes       int64
 }
 
-// Limits bounds a store's capacity. Zero fields mean unlimited. When a
-// Put would exceed a bound, the oldest blobs (by first insertion) are
+// Limits bounds a store's capacity. A zero MaxEntries means unlimited.
+// When a Put would exceed it, the oldest blobs (by first insertion) are
 // evicted until it fits; the blob being put is never the victim.
 type Limits struct {
 	MaxEntries int
-	MaxBytes   int64
 }
-
-// FillFunc computes the blob for a missing key.
-type FillFunc func() ([]byte, error)
 
 // OpObserver receives the wall-clock latency of each store operation.
 // op is "get" or "put"; seconds is the operation's duration. Both
@@ -79,8 +76,8 @@ type FillFunc func() ([]byte, error)
 type OpObserver func(op string, seconds float64)
 
 // Store is a keyed blob store. Implementations are safe for concurrent
-// use. Callers must not modify a blob returned by Get or GetOrFill, nor
-// a blob after passing it to Put (stores may retain or return internal
+// use. Callers must not modify a blob returned by Get, nor a blob after
+// passing it to Put or PutBehind (stores may retain or return internal
 // slices to keep the memory path copy-free).
 type Store interface {
 	// Get returns the blob for key, or ErrNotFound.
@@ -89,31 +86,21 @@ type Store interface {
 	// keys are assumed to address equal content, so an overwrite is a
 	// no-op semantically). The key's age is its first insertion.
 	Put(key string, blob []byte) error
+	// PutBehind is Put behind the caller: it returns once the blob is
+	// queued, and the write lands in the background. The blob is never
+	// invisible in the interim — Get serves it from a pending overlay
+	// until the write lands — but List and Metrics see only landed
+	// blobs. A background write that fails is counted in
+	// Metrics.PutFailures and otherwise dropped.
+	PutBehind(key string, blob []byte) error
+	// Drain blocks until every PutBehind write has landed. Close drains
+	// first, so a reopened store holds everything a closed one was
+	// given.
+	Drain()
 	// Delete removes key, or returns ErrNotFound.
 	Delete(key string) error
 	// List snapshots the resident blobs, oldest first (eviction order).
 	List() ([]Stat, error)
-	// Stat describes one resident blob, or returns ErrNotFound.
-	Stat(key string) (Stat, error)
-	// GetOrFill returns the blob for key, computing and storing it with
-	// fill if absent. Concurrent callers for one key are single-flight:
-	// the first becomes the leader and runs fill, the rest share its
-	// outcome. hit reports that the blob came from the store or from
-	// another caller's fill rather than this call's own. Failed fills
-	// are not stored, so a later call retries; a fill that returns a
-	// context error settles only the waiters that are themselves
-	// cancelled — a live waiter takes over and fills again. ctx bounds
-	// the wait on a leader, never the caller's own fill.
-	//
-	// The store write is behind the fill asynchronously: GetOrFill
-	// returns as soon as fill completes, and durability follows in the
-	// background. A filled blob is never invisible in the interim —
-	// Get and GetOrFill serve it from a pending overlay until the
-	// write lands — but List/Stat/inventory views only see landed
-	// blobs, and Close waits for every outstanding write, so a
-	// reopened store holds everything a closed one computed. Both
-	// built-in stores expose Drain() to wait explicitly.
-	GetOrFill(ctx context.Context, key string, fill FillFunc) (blob []byte, hit bool, err error)
 	// Metrics snapshots the counters.
 	Metrics() Metrics
 	// Close releases the store. Calls after Close fail with ErrClosed.
@@ -144,8 +131,4 @@ func checkKey(key string) error {
 		}
 	}
 	return nil
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

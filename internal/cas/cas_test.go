@@ -2,13 +2,13 @@ package cas
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -57,10 +57,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		got, err := s.Get("job-a")
 		if err != nil || !bytes.Equal(got, blob) {
 			t.Fatalf("Get = %q, %v", got, err)
-		}
-		st, err := s.Stat("job-a")
-		if err != nil || st.Key != "job-a" || st.Size != int64(len(blob)) {
-			t.Fatalf("Stat = %+v, %v", st, err)
 		}
 		// Overwrite is size-accounted, not duplicated.
 		if err := s.Put("job-a", []byte("xy")); err != nil {
@@ -143,203 +139,91 @@ func TestStoreEviction(t *testing.T) {
 			if _, err := s.Get("job-3"); err != nil {
 				t.Errorf("newest evicted: %v", err)
 			}
-
-			b := boundedStore(t, kind, Limits{MaxBytes: 10})
-			if err := b.Put("job-big", make([]byte, 11)); !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("oversized blob = %v, want ErrTooLarge", err)
-			}
-			if err := b.Put("job-a", make([]byte, 6)); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Put("job-b", make([]byte, 6)); err != nil {
-				t.Fatal(err)
-			}
-			if m := b.Metrics(); m.Entries != 1 || m.Bytes != 6 || m.Evictions != 1 {
-				t.Fatalf("metrics after byte eviction: %+v", m)
-			}
-			if _, err := b.Get("job-b"); err != nil {
-				t.Errorf("blob being put was evicted: %v", err)
-			}
 		})
 	}
 }
 
-func TestGetOrFillSingleFlight(t *testing.T) {
+// TestPutBehind: the write lands behind the caller — PutBehind returns
+// while the store write is still held — yet the blob is readable at
+// once, and after Drain it is listed and counted.
+func TestPutBehind(t *testing.T) {
 	stores(t, func(t *testing.T, s Store) {
-		const racers = 8
-		var fills int
-		var mu sync.Mutex
-		started := make(chan struct{})
-		release := make(chan struct{})
-		var wg sync.WaitGroup
-		blobs := make([][]byte, racers)
-		hits := make([]bool, racers)
-		for i := 0; i < racers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				blob, hit, err := s.GetOrFill(context.Background(), "job-k", func() ([]byte, error) {
-					mu.Lock()
-					fills++
-					mu.Unlock()
-					close(started)
-					<-release
-					return []byte("value"), nil
-				})
-				if err != nil {
-					t.Error(err)
-				}
-				blobs[i], hits[i] = blob, hit
-			}(i)
+		held, release := make(chan struct{}), make(chan struct{})
+		s.(interface{ SetObserver(OpObserver) }).SetObserver(func(op string, _ float64) {
+			if op == "put" {
+				close(held)
+				<-release
+			}
+		})
+		if err := s.PutBehind("job-wb", []byte("behind")); err != nil {
+			t.Fatal(err)
 		}
-		<-started
+		<-held // the write is running, and PutBehind has returned
+		if got, err := s.Get("job-wb"); err != nil || string(got) != "behind" {
+			t.Fatalf("Get right after PutBehind = %q, %v", got, err)
+		}
 		close(release)
-		wg.Wait()
-		if fills != 1 {
-			t.Fatalf("fill ran %d times, want 1", fills)
+		s.Drain()
+		list, err := s.List()
+		if err != nil || len(list) != 1 || list[0].Key != "job-wb" || list[0].Size != 6 {
+			t.Fatalf("List after Drain = %+v, %v", list, err)
 		}
-		nhit := 0
-		for i := range blobs {
-			if string(blobs[i]) != "value" {
-				t.Fatalf("racer %d blob = %q", i, blobs[i])
-			}
-			if hits[i] {
-				nhit++
-			}
-		}
-		if nhit != racers-1 {
-			t.Errorf("%d hits, want %d (every waiter, not the leader)", nhit, racers-1)
-		}
-		// The value is now stored: a later call is a pure read.
-		if _, hit, err := s.GetOrFill(context.Background(), "job-k", func() ([]byte, error) {
-			t.Error("fill ran for a stored key")
-			return nil, nil
-		}); err != nil || !hit {
-			t.Fatalf("read-through = hit %v, %v", hit, err)
+		if m := s.Metrics(); m.Puts != 1 || m.PutFailures != 0 || m.Entries != 1 {
+			t.Errorf("after Drain: %+v, want 1 put, 0 failures, 1 entry", m)
 		}
 	})
 }
 
-// TestGetOrFillWriteBehind: the durable put runs behind the fill, but a
-// filled blob is never invisible — Get serves it from the pending
-// overlay until the write lands, and Drain waits for durability.
-func TestGetOrFillWriteBehind(t *testing.T) {
-	stores(t, func(t *testing.T, s Store) {
-		blob, hit, err := s.GetOrFill(context.Background(), "job-wb", func() ([]byte, error) {
-			return []byte("behind"), nil
-		})
-		if err != nil || hit || string(blob) != "behind" {
-			t.Fatalf("fill = %q, hit %v, %v", blob, hit, err)
-		}
-		// Immediately readable, whether or not the put has landed yet.
-		got, err := s.Get("job-wb")
-		if err != nil || string(got) != "behind" {
-			t.Fatalf("Get right after fill = %q, %v", got, err)
-		}
-		// And a second GetOrFill must not re-run fill in the window.
-		if _, hit, err := s.GetOrFill(context.Background(), "job-wb", func() ([]byte, error) {
-			t.Error("fill re-ran for a filled key")
-			return nil, nil
-		}); err != nil || !hit {
-			t.Fatalf("read-through = hit %v, %v", hit, err)
-		}
-		s.(interface{ Drain() }).Drain()
-		if m := s.Metrics(); m.Puts != 1 || m.Entries != 1 {
-			t.Errorf("after drain: puts %d entries %d, want 1/1", m.Puts, m.Entries)
-		}
-	})
+// TestWriteBehindOverlay: until its background write lands, a blob put
+// behind is served from the pending overlay; a write that fails is
+// counted and the overlay entry retired.
+func TestWriteBehindOverlay(t *testing.T) {
+	var w writeBehind
+	var failures atomic.Uint64
+	release := make(chan struct{})
+	err := w.put("job-o", []byte("pending"), func(string, []byte) error {
+		<-release
+		return errors.New("disk full")
+	}, &failures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := w.pendingBlob("job-o"); !ok || string(blob) != "pending" {
+		t.Fatalf("overlay while the write is held = %q, %v", blob, ok)
+	}
+	close(release)
+	w.drain()
+	if _, ok := w.pendingBlob("job-o"); ok {
+		t.Error("overlay entry outlived its write")
+	}
+	if n := failures.Load(); n != 1 {
+		t.Errorf("failures = %d, want 1", n)
+	}
 }
 
-func TestGetOrFillFailureNotCached(t *testing.T) {
-	stores(t, func(t *testing.T, s Store) {
-		boom := errors.New("boom")
-		if _, _, err := s.GetOrFill(context.Background(), "job-f", func() ([]byte, error) {
-			return nil, boom
-		}); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want boom", err)
-		}
-		if _, err := s.Get("job-f"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("failed fill was stored: %v", err)
-		}
-		// Retry succeeds.
-		blob, hit, err := s.GetOrFill(context.Background(), "job-f", func() ([]byte, error) {
-			return []byte("ok"), nil
-		})
-		if err != nil || hit || string(blob) != "ok" {
-			t.Fatalf("retry = %q, hit %v, %v", blob, hit, err)
-		}
-	})
-}
-
-func TestGetOrFillPanicSettlesWaiters(t *testing.T) {
-	stores(t, func(t *testing.T, s Store) {
-		started := make(chan struct{})
-		var waiterErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-started
-			_, _, waiterErr = s.GetOrFill(context.Background(), "job-p", func() ([]byte, error) {
-				return []byte("recovered"), nil
-			})
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("panic did not propagate to the leader")
-				}
-			}()
-			s.GetOrFill(context.Background(), "job-p", func() ([]byte, error) {
-				close(started)
-				panic("kaboom")
-			})
-		}()
-		wg.Wait()
-		// The waiter either shared the panic error or retried and filled
-		// itself; it must not have hung (wg.Wait returned) and any error
-		// must name the panic.
-		if waiterErr != nil && !strings.Contains(waiterErr.Error(), "kaboom") {
-			t.Errorf("waiter error = %v", waiterErr)
-		}
-	})
-}
-
-// TestGetOrFillLeaderCancellation: a waiter must not inherit the
-// leader's cancellation; it takes over and fills itself.
-func TestGetOrFillLeaderCancellation(t *testing.T) {
-	stores(t, func(t *testing.T, s Store) {
-		leaderCtx, cancelLeader := context.WithCancel(context.Background())
-		leaderStarted := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var leaderErr error
-		go func() {
-			defer wg.Done()
-			_, _, leaderErr = s.GetOrFill(leaderCtx, "job-c", func() ([]byte, error) {
-				close(leaderStarted)
-				<-leaderCtx.Done()
-				return nil, leaderCtx.Err()
-			})
-		}()
-		<-leaderStarted
-		var waiterBlob []byte
-		var waiterErr error
-		go func() {
-			defer wg.Done()
-			waiterBlob, _, waiterErr = s.GetOrFill(context.Background(), "job-c", func() ([]byte, error) {
-				return []byte("takeover"), nil
-			})
-		}()
-		cancelLeader()
-		wg.Wait()
-		if !errors.Is(leaderErr, context.Canceled) {
-			t.Errorf("leader err = %v", leaderErr)
-		}
-		if waiterErr != nil || string(waiterBlob) != "takeover" {
-			t.Errorf("waiter = %q, %v; want takeover, nil", waiterBlob, waiterErr)
-		}
-	})
+// TestPutBehindFailureCounted: a background write that cannot land (the
+// store directory is gone) fails no caller, leaves no blob, and counts
+// in PutFailures.
+func TestPutBehindFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBehind("job-lost", []byte("v")); err != nil {
+		t.Fatalf("PutBehind = %v, want the failure left to the background", err)
+	}
+	s.Drain()
+	if m := s.Metrics(); m.PutFailures != 1 || m.Puts != 0 || m.Entries != 0 {
+		t.Errorf("after a failed write: %+v, want 1 failure, 0 puts, 0 entries", m)
+	}
+	if _, err := s.Get("job-lost"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after a failed write = %v, want ErrNotFound", err)
+	}
 }
 
 func TestStoreClosed(t *testing.T) {
@@ -356,11 +240,8 @@ func TestStoreClosed(t *testing.T) {
 		if err := s.Put("job-y", nil); !errors.Is(err, ErrClosed) {
 			t.Errorf("Put after close = %v", err)
 		}
-		if _, _, err := s.GetOrFill(context.Background(), "job-z", func() ([]byte, error) {
-			t.Error("fill ran on a closed store")
-			return nil, nil
-		}); !errors.Is(err, ErrClosed) {
-			t.Errorf("GetOrFill after close = %v", err)
+		if err := s.PutBehind("job-z", []byte("v")); !errors.Is(err, ErrClosed) {
+			t.Errorf("PutBehind after close = %v", err)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package cas
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -21,13 +20,12 @@ import (
 // DiskStore is the durable Store: one file per content address,
 // written crash-safely (temp file in the same directory, fsync, atomic
 // rename, directory fsync) so a visible blob is always complete. Put
-// pays the fsync pair inline; the GetOrFill write-behind defers it to
-// a group commit at Drain/Close (see putBehind) so a filled value's
-// durability cost never sits on its completion path. Every blob is
-// framed with its key and a SHA-256 of the payload; a frame that fails
-// verification — at open or at read — is quarantined into a
-// subdirectory instead of served, so bit rot degrades to a cache miss,
-// never to wrong data or a refused startup.
+// pays the fsync pair inline; PutBehind defers it to a group commit at
+// Drain/Close, so a computed value's durability cost never sits on its
+// caller's path. Every blob is framed with its key and a SHA-256 of the
+// payload; a frame that fails verification — at open or at read — is
+// quarantined into a subdirectory instead of served, so bit rot
+// degrades to a cache miss, never to wrong data or a refused startup.
 //
 // On-disk frame ("<key>.blob"):
 //
@@ -39,7 +37,7 @@ import (
 type DiskStore struct {
 	dir    string
 	limits Limits
-	fl     flightGroup
+	wb     writeBehind
 	obs    OpObserver
 
 	mu       sync.Mutex
@@ -260,10 +258,9 @@ func (s *DiskStore) Get(key string) ([]byte, error) {
 	e, ok := s.idx[key]
 	s.mu.Unlock()
 	if !ok {
-		// A blob computed by GetOrFill whose write-behind has not landed
-		// yet is served from the pending overlay — a filled value is
-		// never invisible to readers.
-		if blob, pok := s.fl.pendingBlob(key); pok {
+		// A blob put behind whose write has not landed yet is served
+		// from the pending overlay, so it is never invisible to readers.
+		if blob, pok := s.wb.pendingBlob(key); pok {
 			s.hits.Add(1)
 			return blob, nil
 		}
@@ -329,9 +326,9 @@ func (s *DiskStore) GetBlob(key string) (*Blob, error) {
 	e, ok := s.idx[key]
 	s.mu.Unlock()
 	if !ok {
-		// Same overlay read-through as Get: an unlanded write-behind is
+		// Same overlay read-through as Get: an unlanded PutBehind is
 		// served from memory (nothing to map yet).
-		if blob, pok := s.fl.pendingBlob(key); pok {
+		if blob, pok := s.wb.pendingBlob(key); pok {
 			s.hits.Add(1)
 			return &Blob{data: blob}, nil
 		}
@@ -402,17 +399,22 @@ func (s *DiskStore) Put(key string, blob []byte) error {
 	return s.putFrame(key, blob, true)
 }
 
-// putBehind is the write-behind variant GetOrFill's background persist
-// uses: the frame is written and renamed into place but not fsynced —
-// the blob is immediately readable and survives a process exit, and a
-// machine crash in the window loses at most the unsynced frames, each
-// of which the checksum quarantines back into a cache miss at the next
-// open (never wrong data). Durability is group-committed instead:
-// Drain/Close fsync every relaxed frame and the directory once, so the
-// per-blob fsync pair leaves the completion path without leaving the
-// store's close-to-open contract.
-func (s *DiskStore) putBehind(key string, blob []byte) error {
-	return s.putFrame(key, blob, false)
+// PutBehind implements Store. The background write is relaxed: the
+// frame is written and renamed into place but not fsynced — the blob
+// is readable and survives a process exit, and a machine crash in the
+// window loses at most the unsynced frames, each of which the checksum
+// quarantines back into a cache miss at the next open (never wrong
+// data). Durability is group-committed instead: Drain/Close fsync every
+// relaxed frame and the directory once, so the per-blob fsync pair
+// leaves the caller's path without leaving the store's close-to-open
+// contract.
+func (s *DiskStore) PutBehind(key string, blob []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	return s.wb.put(key, blob, func(key string, blob []byte) error {
+		return s.putFrame(key, blob, false)
+	}, &s.putFailures)
 }
 
 // putFrame is Put's body; sync selects crash-durable (fsync file +
@@ -424,9 +426,6 @@ func (s *DiskStore) putFrame(key string, blob []byte, sync bool) error {
 	}
 	if err := checkKey(key); err != nil {
 		return err
-	}
-	if s.limits.MaxBytes > 0 && int64(len(blob)) > s.limits.MaxBytes {
-		return ErrTooLarge
 	}
 	s.mu.Lock()
 	closed := s.closed
@@ -516,7 +515,7 @@ func (s *DiskStore) writeFile(key string, frame []byte, sync bool) error {
 // syncPending group-commits every relaxed write since the last commit:
 // each unsynced frame is fsynced, then the directory once — N+1 fsyncs
 // for N blobs, against the 2N the per-put path would have paid, and all
-// of them off the fill's completion path. A frame already evicted or
+// of them off PutBehind's caller path. A frame already evicted or
 // deleted is skipped; a frame that cannot be synced is counted as a put
 // failure (the blob is still readable, it is just not crash-durable).
 func (s *DiskStore) syncPending() {
@@ -562,14 +561,11 @@ func (s *DiskStore) syncDir() error {
 	return nil
 }
 
-// evictLocked drops the oldest blobs until the limits hold, shielding
+// evictLocked drops the oldest blobs until the limit holds, shielding
 // keep.
 func (s *DiskStore) evictLocked(keep string) {
-	over := func() bool {
-		return (s.limits.MaxEntries > 0 && len(s.idx) > s.limits.MaxEntries) ||
-			(s.limits.MaxBytes > 0 && s.bytes > s.limits.MaxBytes)
-	}
-	for i := 0; i < len(s.order) && over(); i++ {
+	limit := s.limits.MaxEntries
+	for i := 0; limit > 0 && len(s.idx) > limit && i < len(s.order); i++ {
 		key := s.order[i]
 		e, ok := s.idx[key]
 		if !ok || key == keep {
@@ -632,31 +628,6 @@ func (s *DiskStore) List() ([]Stat, error) {
 	return out, nil
 }
 
-// Stat implements Store.
-func (s *DiskStore) Stat(key string) (Stat, error) {
-	if err := checkKey(key); err != nil {
-		return Stat{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Stat{}, ErrClosed
-	}
-	e, ok := s.idx[key]
-	if !ok {
-		return Stat{}, ErrNotFound
-	}
-	return Stat{Key: key, Size: e.size}, nil
-}
-
-// GetOrFill implements Store (see the interface contract).
-func (s *DiskStore) GetOrFill(ctx context.Context, key string, fill FillFunc) ([]byte, bool, error) {
-	if err := checkKey(key); err != nil {
-		return nil, false, err
-	}
-	return s.fl.do(ctx, key, s.Get, s.putBehind, func() { s.putFailures.Add(1) }, fill)
-}
-
 // Metrics implements Store.
 func (s *DiskStore) Metrics() Metrics {
 	s.mu.Lock()
@@ -675,29 +646,26 @@ func (s *DiskStore) Metrics() Metrics {
 	}
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // SetObserver installs the per-operation latency observer. Install it
 // before the store is shared across goroutines.
 func (s *DiskStore) SetObserver(fn OpObserver) { s.obs = fn }
 
-// Drain blocks until every write-behind from a completed GetOrFill fill
-// has landed on disk, then group-commits their durability (see
-// syncPending). Callers about to reason about the resident set — List
-// for an inventory, a reset that must not race a late put back in — or
-// about to snapshot the directory drain first.
+// Drain implements Store: every PutBehind write lands on disk, then
+// their durability is group-committed (see syncPending). Callers about
+// to reason about the resident set — List for an inventory, a reset
+// that must not race a late put back in — or about to snapshot the
+// directory drain first.
 func (s *DiskStore) Drain() {
-	s.fl.drain()
+	s.wb.drain()
 	s.syncPending()
 }
 
-// Close implements Store: outstanding write-behinds are drained and
-// group-committed (so a reopened store sees everything this one
-// computed), then the index is released; blobs stay on disk for the
-// next open.
+// Close implements Store: outstanding PutBehind writes are drained and
+// group-committed (so a reopened store sees everything this one was
+// given), then the index is released; blobs stay on disk for the next
+// open.
 func (s *DiskStore) Close() error {
-	s.fl.drain()
+	s.wb.close()
 	s.syncPending()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +12,7 @@ import (
 // directory is configured.
 type MemStore struct {
 	limits Limits
-	fl     flightGroup
+	wb     writeBehind
 	obs    OpObserver
 
 	mu     sync.Mutex
@@ -59,10 +58,9 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	}
 	e, ok := s.m[key]
 	if !ok {
-		// A blob computed by GetOrFill whose write-behind has not landed
-		// yet is served from the pending overlay — a filled value is
-		// never invisible to readers.
-		if blob, pok := s.fl.pendingBlob(key); pok {
+		// A blob put behind whose write has not landed yet is served
+		// from the pending overlay, so it is never invisible to readers.
+		if blob, pok := s.wb.pendingBlob(key); pok {
 			s.hits.Add(1)
 			return blob, nil
 		}
@@ -81,9 +79,6 @@ func (s *MemStore) Put(key string, blob []byte) error {
 	}
 	if err := checkKey(key); err != nil {
 		return err
-	}
-	if s.limits.MaxBytes > 0 && int64(len(blob)) > s.limits.MaxBytes {
-		return ErrTooLarge
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -104,15 +99,11 @@ func (s *MemStore) Put(key string, blob []byte) error {
 	return nil
 }
 
-// evictLocked drops the oldest blobs until the limits hold, shielding
+// evictLocked drops the oldest blobs until the limit holds, shielding
 // keep (the key just written).
 func (s *MemStore) evictLocked(keep string) {
-	over := func() bool {
-		return (s.limits.MaxEntries > 0 && len(s.m) > s.limits.MaxEntries) ||
-			(s.limits.MaxBytes > 0 && s.bytes > s.limits.MaxBytes)
-	}
-	i := 0
-	for ; i < len(s.order) && over(); i++ {
+	limit := s.limits.MaxEntries
+	for i := 0; limit > 0 && len(s.m) > limit && i < len(s.order); i++ {
 		key := s.order[i]
 		e, ok := s.m[key]
 		if !ok || key == keep {
@@ -183,29 +174,12 @@ func (s *MemStore) List() ([]Stat, error) {
 	return out, nil
 }
 
-// Stat implements Store.
-func (s *MemStore) Stat(key string) (Stat, error) {
+// PutBehind implements Store: the background write is Put.
+func (s *MemStore) PutBehind(key string, blob []byte) error {
 	if err := checkKey(key); err != nil {
-		return Stat{}, err
+		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Stat{}, ErrClosed
-	}
-	e, ok := s.m[key]
-	if !ok {
-		return Stat{}, ErrNotFound
-	}
-	return Stat{Key: key, Size: int64(len(e.blob))}, nil
-}
-
-// GetOrFill implements Store (see the interface contract).
-func (s *MemStore) GetOrFill(ctx context.Context, key string, fill FillFunc) ([]byte, bool, error) {
-	if err := checkKey(key); err != nil {
-		return nil, false, err
-	}
-	return s.fl.do(ctx, key, s.Get, s.Put, func() { s.putFailures.Add(1) }, fill)
+	return s.wb.put(key, blob, s.Put, &s.putFailures)
 }
 
 // Metrics implements Store.
@@ -225,14 +199,13 @@ func (s *MemStore) Metrics() Metrics {
 	}
 }
 
-// Drain blocks until every write-behind from a completed GetOrFill fill
-// has landed in the map. See DiskStore.Drain.
-func (s *MemStore) Drain() { s.fl.drain() }
+// Drain implements Store.
+func (s *MemStore) Drain() { s.wb.drain() }
 
-// Close implements Store: outstanding write-behinds are drained, then
-// the map is released; later calls fail.
+// Close implements Store: outstanding PutBehind writes are drained,
+// then the map is released; later calls fail.
 func (s *MemStore) Close() error {
-	s.fl.drain()
+	s.wb.close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true

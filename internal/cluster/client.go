@@ -60,7 +60,7 @@ func newShardClient(hc *http.Client, maxForward int64) *shardClient {
 }
 
 // streamStallTimeout severs an event stream with no bytes at all (the
-// server heartbeats idle streams every DefaultEventHeartbeat, so a live
+// server heartbeats idle streams every httpapi.EventHeartbeat, so a live
 // connection is never silent this long); the consumer then reopens it
 // at its cursor.
 const streamStallTimeout = 2 * time.Minute

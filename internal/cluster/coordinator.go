@@ -55,11 +55,6 @@ type Options struct {
 	// path. 0 means DefaultHealthInterval; negative disables the loop
 	// (membership then changes only through dispatch failures and Join).
 	HealthInterval time.Duration
-	// EvictAfterProbes is how many consecutive failed health probes
-	// evict a live peer from the ring. One transient timeout or 5xx
-	// must never cost a healthy peer its keyspace share, so this is
-	// always at least 2; <= 0 means DefaultEvictAfterProbes.
-	EvictAfterProbes int
 	// OwnerReplicas turns Ring.Owners succession into replicated
 	// ownership: every merged job result is written through to this
 	// many ring owners, so one node dying loses no cached work. <= 1
@@ -92,8 +87,8 @@ var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 type shardState struct {
 	alive bool
 	// probeFails counts consecutive failed health probes; eviction
-	// waits for evictAfter of them, so a single transient timeout or
-	// 5xx never costs a healthy peer its ring share.
+	// waits for evictAfterProbes of them, so a single transient timeout
+	// or 5xx never costs a healthy peer its ring share.
 	probeFails int
 	routed     uint64
 	// retried counts jobs dispatched to this peer as a re-route (the
@@ -109,14 +104,13 @@ type shardState struct {
 // per-shard results into a single Handle, and re-routes jobs from a
 // failed peer to the next ring owner. It is safe for concurrent use.
 type Coordinator struct {
-	client     *shardClient
-	poll       time.Duration
-	health     time.Duration
-	evictAfter int
-	replicas   int // owner-replication factor (<= 1: no replication)
-	tel        *obs.Telemetry
-	log        *slog.Logger
-	met        coordMetrics
+	client   *shardClient
+	poll     time.Duration
+	health   time.Duration
+	replicas int // owner-replication factor (<= 1: no replication)
+	tel      *obs.Telemetry
+	log      *slog.Logger
+	met      coordMetrics
 
 	lifeCtx  context.Context
 	lifeStop context.CancelFunc
@@ -187,15 +181,6 @@ func New(o Options) (*Coordinator, error) {
 	if o.HealthInterval == 0 {
 		o.HealthInterval = DefaultHealthInterval
 	}
-	if o.EvictAfterProbes <= 0 {
-		o.EvictAfterProbes = DefaultEvictAfterProbes
-	}
-	if o.EvictAfterProbes < 2 {
-		// A single failed probe is indistinguishable from one dropped
-		// packet; eviction below two consecutive failures would churn
-		// the ring on noise.
-		o.EvictAfterProbes = 2
-	}
 	if o.Telemetry == nil {
 		o.Telemetry = obs.New()
 	}
@@ -215,7 +200,6 @@ func New(o Options) (*Coordinator, error) {
 		client:       newShardClient(o.Client, o.MaxForwardBytes),
 		poll:         o.PollInterval,
 		health:       o.HealthInterval,
-		evictAfter:   o.EvictAfterProbes,
 		replicas:     o.OwnerReplicas,
 		tel:          o.Telemetry,
 		log:          o.Logger,

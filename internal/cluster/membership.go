@@ -15,11 +15,12 @@ import (
 // Options.HealthInterval is zero.
 const DefaultHealthInterval = 2 * time.Second
 
-// DefaultEvictAfterProbes is how many consecutive failed health probes
-// evict a live peer when Options.EvictAfterProbes is zero. Two is the
-// floor (one failure is indistinguishable from a dropped packet); three
-// tolerates a GC pause or a brief listener restart.
-const DefaultEvictAfterProbes = 3
+// evictAfterProbes is how many consecutive failed health probes evict a
+// live peer from the ring. One transient timeout or 5xx must never cost
+// a healthy peer its keyspace share: two is the floor (one failure is
+// indistinguishable from a dropped packet); three tolerates a GC pause
+// or a brief listener restart.
+const evictAfterProbes = 3
 
 // maxConcurrentReplicas bounds replica write-throughs in flight across
 // all sweeps: each carries a full job result body, and replication is
@@ -124,9 +125,9 @@ func (c *Coordinator) probePeers() {
 
 // probePeer health-checks one peer and applies the membership verdict:
 // a healthy evicted peer rejoins, a healthy live peer has its failure
-// streak reset, and a live peer failing its evictAfter'th consecutive
-// probe is evicted. One failed probe alone never evicts — that is the
-// regression the transient-5xx test pins.
+// streak reset, and a live peer failing its evictAfterProbes'th
+// consecutive probe is evicted. One failed probe alone never evicts —
+// that is the regression the transient-5xx test pins.
 func (c *Coordinator) probePeer(peer string) {
 	timeout := c.health
 	if timeout < 100*time.Millisecond {
@@ -162,7 +163,7 @@ func (c *Coordinator) probePeer(peer string) {
 		c.mu.Unlock()
 	default:
 		st.probeFails++
-		if st.probeFails >= c.evictAfter {
+		if st.probeFails >= evictAfterProbes {
 			st.alive = false
 			st.probeFails = 0
 			c.mutateRing(ringRemove, peer)
@@ -176,7 +177,7 @@ func (c *Coordinator) probePeer(peer string) {
 		fails := st.probeFails
 		c.mu.Unlock()
 		c.log.Warn("health probe failed (not evicting yet)",
-			"peer", peer, "consecutive_failures", fails, "evict_after", c.evictAfter, "probe_error", err)
+			"peer", peer, "consecutive_failures", fails, "evict_after", evictAfterProbes, "probe_error", err)
 	}
 }
 

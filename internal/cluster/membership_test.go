@@ -29,7 +29,7 @@ func fakePeer(t *testing.T) (*httptest.Server, *atomic.Bool) {
 
 // TestTransientProbeNoEviction pins the eviction hysteresis regression:
 // a transient 5xx on the health probe — one failed probe, or any streak
-// shorter than EvictAfterProbes — must never evict a peer from the
+// shorter than evictAfterProbes — must never evict a peer from the
 // ring, and a success in between must reset the streak. Only a full
 // streak of consecutive failures evicts, and a later healthy probe
 // re-admits the peer.
@@ -53,7 +53,7 @@ func TestTransientProbeNoEviction(t *testing.T) {
 
 	// A streak one short of the threshold: still a ring member.
 	unhealthy.Store(true)
-	for i := 1; i < c.evictAfter; i++ {
+	for i := 1; i < evictAfterProbes; i++ {
 		c.probePeer(peer)
 		if st := c.Stats(); st.AlivePeers != 1 || st.PeerFailures != 0 {
 			t.Fatalf("after %d transient probe failures: %d alive peers, %d failures; want the peer kept",
@@ -71,7 +71,7 @@ func TestTransientProbeNoEviction(t *testing.T) {
 		t.Fatalf("probeFails = %d after recovery, want 0", got)
 	}
 	unhealthy.Store(true)
-	for i := 1; i < c.evictAfter; i++ {
+	for i := 1; i < evictAfterProbes; i++ {
 		c.probePeer(peer)
 	}
 	if st := c.Stats(); st.AlivePeers != 1 || st.PeerFailures != 0 {
@@ -83,7 +83,7 @@ func TestTransientProbeNoEviction(t *testing.T) {
 	st := c.Stats()
 	if st.AlivePeers != 0 || st.PeerFailures != 1 {
 		t.Fatalf("after %d consecutive failures: %d alive peers, %d failures; want eviction",
-			c.evictAfter, st.AlivePeers, st.PeerFailures)
+			evictAfterProbes, st.AlivePeers, st.PeerFailures)
 	}
 	// Probing a dead, still-unhealthy peer is a no-op (no streak
 	// building against an already-evicted member).

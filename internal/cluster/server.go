@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"nbticache/internal/engine"
 	"nbticache/internal/httpapi"
@@ -31,9 +30,6 @@ type ServerConfig struct {
 	// EnablePprof mounts the runtime profiling handlers under
 	// /debug/pprof/, exactly like the node server's option.
 	EnablePprof bool
-	// EventHeartbeat is the merged-sweep event stream's idle heartbeat
-	// cadence; <= 0 selects httpapi.DefaultEventHeartbeat.
-	EventHeartbeat time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -98,7 +94,7 @@ func (s *Server) Handler() http.Handler {
 	// engine.Handle exactly as a node reads its own: results merged from
 	// any shard re-emit on the feed in merge order, in the format the
 	// shards speak.
-	s.sweeps.Mount(mux, s.cfg.EventHeartbeat, s.streamMet)
+	s.sweeps.Mount(mux, s.streamMet)
 	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.sweeps.Serve(s.getSweepSpans))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	mux.HandleFunc("POST /v1/traces", s.uploadTrace)

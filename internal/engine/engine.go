@@ -88,18 +88,21 @@ type Engine struct {
 	lifeCtx  context.Context
 	lifeStop context.CancelFunc
 
-	traces *flightCache[*trace.Trace]
+	// traces memoises generated synthetic traces by benchmark and
+	// geometry.
+	traces *flight[*trace.Trace]
 	// store holds uploaded real traces, content-addressed and measured
 	// at admission (see store.go); with a data directory it writes
 	// through to traceBlobs and reloads from it at start.
 	store *traceStore
-	// runs caches the trace simulation itself, keyed by the fields that
-	// affect it (workload, geometry, banks, policy, update cadence):
-	// jobs differing only in sleep mode or epochs share one run, since
-	// those enter through the aging projection alone. Runs are derived
-	// data — every persisted JobResult embeds its run — so this layer
-	// stays in-memory.
-	runs *flightCache[*core.RunResult]
+	// runs memoises the trace simulation itself, keyed by the fields
+	// that affect it (workload, geometry, banks, policy, update
+	// cadence): jobs differing only in sleep mode or epochs share one
+	// run, since those enter through the aging projection alone. Runs
+	// are derived data — every persisted JobResult embeds its run — so
+	// this layer stays in-memory; a run over an uploaded trace is
+	// forgotten when the trace store reaps the trace.
+	runs *flight[*core.RunResult]
 	// results is the job-result cache: a typed adapter over resultStore
 	// (cas.MemStore or cas.DiskStore per Options.DataDir), so completed
 	// jobs read through and write through the persistence layer.
@@ -201,16 +204,19 @@ func New(o Options) (*Engine, error) {
 		resultStore = cas.NewMem(cas.Limits{MaxEntries: o.MaxCachedResults})
 	}
 	ctx, stop := context.WithCancel(context.Background())
+	runs := newFlight[*core.RunResult](true)
 	e := &Engine{
-		workers:     o.Workers,
-		model:       o.Model,
-		tech:        o.Tech,
-		gen:         o.Gen,
-		lifeCtx:     ctx,
-		lifeStop:    stop,
-		traces:      newFlightCache[*trace.Trace](),
-		store:       newTraceStore(o.MaxStoredTraces, traceBlobs),
-		runs:        newFlightCache[*core.RunResult](),
+		workers:  o.Workers,
+		model:    o.Model,
+		tech:     o.Tech,
+		gen:      o.Gen,
+		lifeCtx:  ctx,
+		lifeStop: stop,
+		traces:   newFlight[*trace.Trace](true),
+		store: newTraceStore(o.MaxStoredTraces, traceBlobs, func(id string) {
+			runs.forget(JobSpec{TraceID: id}.workloadKey() + "|")
+		}),
+		runs:        runs,
 		resultStore: resultStore,
 		traceBlobs:  traceBlobs,
 		dataDir:     o.DataDir,
@@ -263,18 +269,14 @@ func (e *Engine) Close() {
 	}
 }
 
-// Drain blocks until every completed result and trace blob has landed
-// in its store. Persistence is write-behind — a job's completion is
-// visible (and its sweep event fires) before its blob is durable — so
+// Drain blocks until every completed result has landed in its store
+// (cas.Store.Drain). Results are put behind — a job's completion is
+// visible (and its sweep event fires) before its blob is written — so
 // callers about to inspect the data directory or reason about the
-// store-resident inventory drain first. Close drains implicitly.
+// store-resident inventory drain first. Uploaded traces are written
+// through at admission and need no drain. Close drains implicitly.
 func (e *Engine) Drain() {
-	if d, ok := e.resultStore.(interface{ Drain() }); ok {
-		d.Drain()
-	}
-	if d, ok := e.traceBlobs.(interface{ Drain() }); ok {
-		d.Drain()
-	}
+	e.resultStore.Drain()
 }
 
 // Trace returns the generated trace for a benchmark and geometry,
@@ -284,7 +286,7 @@ func (e *Engine) Drain() {
 // not modify it.
 func (e *Engine) Trace(ctx context.Context, bench string, g cache.Geometry) (*trace.Trace, error) {
 	key := fmt.Sprintf("%s|%d|%d", bench, g.Size/1024, g.LineSize)
-	tr, _, err := e.traces.do(ctx, key, func() (*trace.Trace, error) {
+	return e.traces.do(ctx, key, func() (*trace.Trace, error) {
 		p, ok := workload.ByName(bench)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown benchmark %q", bench)
@@ -304,7 +306,6 @@ func (e *Engine) Trace(ctx context.Context, bench string, g cache.Geometry) (*tr
 		e.tracesBuilt.Add(1)
 		return t, nil
 	})
-	return tr, err
 }
 
 // RunJob executes one job synchronously on the caller's goroutine,
@@ -329,8 +330,8 @@ func (e *Engine) runJob(ctx context.Context, spec JobSpec, pinned bool) (*JobRes
 
 // runJobTimed is runJob with an optional phase clock. The persist phase
 // is the result-cache traversal minus the job's own computation: the
-// read-through Get, the codec, and the synchronous write-behind Put (or,
-// for a waiter, the wait on a concurrent leader).
+// read-through Get, the codec, and queueing the blob with PutBehind
+// (or, for a waiter, the wait on a concurrent leader and the decode).
 func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, pinned bool, pc *phaseClock) (*JobResult, error) {
 	spec = spec.Normalised()
 	if err := spec.Validate(); err != nil {
@@ -382,7 +383,7 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 		return nil, err
 	}
 	g := spec.Geometry()
-	run, _, err := e.runs.do(ctx, spec.runKey(), func() (*core.RunResult, error) {
+	run, err := e.runs.do(ctx, spec.runKey(), func() (*core.RunResult, error) {
 		resolveStart := time.Now()
 		tr, err := e.traceFor(ctx, spec, g, pinned)
 		if err != nil {
@@ -494,7 +495,7 @@ func (e *Engine) ImportResult(res *JobResult) (created bool, err error) {
 // Benchmarks use it so every iteration re-simulates.
 func (e *Engine) ResetRuns() {
 	e.results.reset()
-	e.runs.reset()
+	e.runs.forget("")
 }
 
 // Stats is a snapshot of the engine counters, served by /metrics.

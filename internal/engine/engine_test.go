@@ -200,6 +200,61 @@ func TestRunJobSharesCache(t *testing.T) {
 	}
 }
 
+// TestRunJobPrivateResults: concurrent RunJob callers of one job share
+// one simulation but each gets its own *JobResult, so annotating one
+// changes neither the others nor the stored blob.
+func TestRunJobPrivateResults(t *testing.T) {
+	e := testEngine(t, 2)
+	spec := JobSpec{Bench: "sha", Banks: 4}
+	const callers = 6
+	res := make([]*JobResult, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := e.RunJob(context.Background(), spec)
+			if err != nil {
+				t.Error(err)
+			}
+			res[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != callers-1 {
+		t.Fatalf("cache misses/hits = %d/%d, want 1/%d", st.CacheMisses, st.CacheHits, callers-1)
+	}
+	e.Drain()
+	stored, err := e.resultStore.Get(spec.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored = append([]byte(nil), stored...)
+	cached := make([]bool, callers)
+	for i, r := range res {
+		cached[i] = r.Cached
+		for _, o := range res[:i] {
+			if r == o {
+				t.Fatal("two callers share one *JobResult")
+			}
+		}
+	}
+	res[0].Cached = !res[0].Cached
+	res[0].Err = "annotated"
+	res[0].Timing = &JobTiming{TotalMs: 1}
+	for i, r := range res[1:] {
+		if r.Cached != cached[i+1] || r.Err != "" || r.Timing != nil {
+			t.Errorf("caller %d sees another caller's annotation: %+v", i+1, r)
+		}
+	}
+	if after, err := e.resultStore.Get(spec.ID()); err != nil || string(after) != string(stored) {
+		t.Errorf("stored blob changed by an annotation (err %v)", err)
+	}
+}
+
 // TestRunSharingAcrossModes: sleep mode and epochs only enter the aging
 // projection, so jobs differing only there must share one trace
 // simulation while keeping distinct projections.

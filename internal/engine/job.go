@@ -206,7 +206,9 @@ func (j JobSpec) ID() string {
 // runKey is the run-cache address: the trace simulation depends on the
 // workload, geometry, banks, policy and update cadence, but not on the
 // sleep mode or epoch count (those enter through the projection), so
-// jobs differing only there share one simulation.
+// jobs differing only there share one simulation. The workload key
+// leads, so every run of one uploaded trace shares the prefix
+// "t:<id>|" that the trace's removal forgets.
 func (j JobSpec) runKey() string {
 	n := j.Normalised()
 	return fmt.Sprintf("%s|%d|%d|%d|%s|%d", n.workloadKey(), n.SizeKB, n.LineBytes, n.Banks, n.Policy, n.UpdateEvery)

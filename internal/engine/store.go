@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -89,9 +90,10 @@ type traceStore struct {
 	mu  sync.Mutex
 	m   map[string]*storedTrace
 	max int
-	// inflight marks IDs being measured right now; the channel closes
-	// when admission settles (stored or failed).
-	inflight map[string]chan struct{}
+	// admitting dedups concurrent admissions of one ID; reserved counts
+	// the admissions it is running, each holding one slot of max.
+	admitting *flight[*storedTrace]
+	reserved  int
 	// blobs is the persistent layer; nil means memory-only.
 	blobs cas.Store
 	// pins counts in-flight sweeps referencing each trace; condemned
@@ -100,19 +102,23 @@ type traceStore struct {
 	// the last pin drops.
 	pins      map[string]int
 	condemned map[string]bool
+	// reaped is told each trace ID whose removal completed, so state
+	// derived from the trace (its memoised runs) goes with it.
+	reaped func(id string)
 	// corrupt counts persisted trace blobs that failed the typed decode
 	// (the store's own checksum corruption is counted by the store).
 	corrupt atomic.Uint64
 }
 
-func newTraceStore(max int, blobs cas.Store) *traceStore {
+func newTraceStore(max int, blobs cas.Store, reaped func(id string)) *traceStore {
 	return &traceStore{
 		m:         make(map[string]*storedTrace),
 		max:       max,
-		inflight:  make(map[string]chan struct{}),
+		admitting: newFlight[*storedTrace](false),
 		blobs:     blobs,
 		pins:      make(map[string]int),
 		condemned: make(map[string]bool),
+		reaped:    reaped,
 	}
 }
 
@@ -195,65 +201,60 @@ func (s *traceStore) resolve(id string) (*storedTrace, bool) {
 }
 
 // admit resolves id to a stored trace, computing the entry with build
-// at most once across concurrent callers. existed reports a hit on an
-// already-resident entry. Re-admitting a condemned trace resurrects it:
-// the bytes are identical by content address, so the pending removal is
-// simply cancelled.
+// at most once across concurrent callers. existed reports that this
+// call built nothing: the entry was resident, or a concurrent caller
+// built it. Re-admitting a condemned trace resurrects it: the bytes are
+// identical by content address, so the pending removal is simply
+// cancelled.
 func (s *traceStore) admit(id string, build func() (*storedTrace, error)) (st *storedTrace, existed bool, err error) {
-	for {
+	existed = true
+	// AddTrace takes no context, so a waiter waits for its leader.
+	st, err = s.admitting.do(context.TODO(), id, func() (st *storedTrace, err error) {
 		s.mu.Lock()
 		if st, ok := s.m[id]; ok {
 			delete(s.condemned, id)
 			s.mu.Unlock()
-			return st, true, nil
+			return st, nil
 		}
-		if ch, busy := s.inflight[id]; busy {
-			s.mu.Unlock()
-			<-ch // another upload of the same bytes is measuring; share it
-			continue
-		}
-		// In-flight admissions reserve capacity so a burst cannot
+		// Running admissions reserve capacity so a burst cannot
 		// overshoot the bound.
-		if len(s.m)+len(s.inflight) >= s.max {
+		if len(s.m)+s.reserved >= s.max {
 			s.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: %d traces resident (remove some or raise the limit)", ErrTraceStoreFull, s.max)
+			return nil, fmt.Errorf("%w: %d traces resident (remove some or raise the limit)", ErrTraceStoreFull, s.max)
 		}
-		ch := make(chan struct{})
-		s.inflight[id] = ch
+		s.reserved++
 		s.mu.Unlock()
-
-		var st *storedTrace
-		var err error
-		func() {
-			// The cleanup must run even if build panics (a wedged
-			// inflight entry would block every later upload of these
-			// bytes forever and leak the capacity reservation); the
-			// panic itself still propagates to the caller.
-			defer func() {
-				s.mu.Lock()
-				delete(s.inflight, id)
-				close(ch)
-				if err == nil && st != nil {
-					s.m[id] = st
-				}
-				s.mu.Unlock()
-			}()
-			st, err = build()
-			if err == nil && s.blobs != nil {
-				// Write-through: an admission that cannot be persisted
-				// fails, rather than silently diverging from the next
-				// restart's view of the store.
-				blob, berr := encodeTraceBlob(st)
-				if berr == nil {
-					berr = s.blobs.Put(id, blob)
-				}
-				if berr != nil {
-					st, err = nil, fmt.Errorf("engine: persisting trace %s: %w", id, berr)
-				}
+		existed = false
+		// The reservation is released even if build panics, and the
+		// entry is resident before the flight settles, so a later
+		// caller finds it instead of building again.
+		defer func() {
+			s.mu.Lock()
+			s.reserved--
+			if st != nil {
+				s.m[id] = st
 			}
+			s.mu.Unlock()
 		}()
-		return st, false, err
-	}
+		if st, err = build(); err != nil {
+			return nil, err
+		}
+		if s.blobs == nil {
+			return st, nil
+		}
+		// Write-through: an admission that cannot be persisted fails,
+		// rather than silently diverging from the next restart's view
+		// of the store.
+		blob, err := encodeTraceBlob(st)
+		if err == nil {
+			err = s.blobs.Put(id, blob)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: persisting trace %s: %w", id, err)
+		}
+		return st, nil
+	})
+	return st, existed, err
 }
 
 // pinAll atomically verifies that every id is resident (and not
@@ -290,29 +291,30 @@ func (s *traceStore) unpinAll(ids []string) {
 		}
 	}
 	s.mu.Unlock()
-	s.deleteBlobs(reaped)
+	s.finishReap(reaped)
 }
 
 // reapLocked finishes a removal's in-memory half: the resident entry
-// goes now; the persisted blob is the caller's to delete via
-// deleteBlobs once the mutex is released. Blob deletion is disk I/O,
-// and doing it under s.mu would stall every concurrent lookup on the
-// filesystem (nbtivet lockedio, the PR 3 DiskStore lesson).
+// goes now; the persisted blob and the derived runs are the caller's to
+// drop via finishReap once the mutex is released. Blob deletion is disk
+// I/O, and doing it under s.mu would stall every concurrent lookup on
+// the filesystem (nbtivet lockedio).
 func (s *traceStore) reapLocked(id string) {
 	delete(s.m, id)
 	delete(s.condemned, id)
 }
 
-// deleteBlobs removes persisted blobs for already-reaped ids. Called
-// without s.mu held: once an id has left s.m it is invisible to
-// lookups and re-admission of the same content recreates the blob, so
-// there is no ordering hazard.
-func (s *traceStore) deleteBlobs(ids []string) {
-	if s.blobs == nil {
-		return
-	}
+// finishReap completes the removal of already-reaped ids: their
+// persisted blobs are deleted and the engine forgets what it derived
+// from them. Called without s.mu held: once an id has left s.m it is
+// invisible to lookups and re-admission of the same content recreates
+// the blob, so there is no ordering hazard.
+func (s *traceStore) finishReap(ids []string) {
 	for _, id := range ids {
-		_ = s.blobs.Delete(id)
+		if s.blobs != nil {
+			_ = s.blobs.Delete(id)
+		}
+		s.reaped(id)
 	}
 }
 
@@ -333,7 +335,7 @@ func (s *traceStore) remove(id string) bool {
 	}
 	s.reapLocked(id)
 	s.mu.Unlock()
-	s.deleteBlobs([]string{id})
+	s.finishReap([]string{id})
 	return true
 }
 

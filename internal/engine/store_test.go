@@ -267,6 +267,35 @@ func TestAddTraceConcurrentDedup(t *testing.T) {
 	}
 }
 
+// TestRemovedTraceForgetsRuns: a run over an uploaded trace is
+// memoised only while the trace is stored. Upload, one job, delete —
+// repeated — must not leave a RunResult resident per cycle.
+func TestRemovedTraceForgetsRuns(t *testing.T) {
+	e := testEngine(t, 2)
+	for i := 0; i < 20; i++ {
+		info, _, err := e.AddTrace(uploadableTrace(t, "cycle", 500, int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Submit(context.Background(), SweepSpec{TraceIDs: []string{info.ID}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !e.RemoveTrace(info.ID) {
+			t.Fatalf("cycle %d: RemoveTrace(%s) = false", i, info.ID)
+		}
+	}
+	if st := e.Stats(); st.TracesStored != 0 || st.RunsExecuted != 20 {
+		t.Fatalf("after 20 cycles: %d traces stored, %d runs executed; want 0, 20", st.TracesStored, st.RunsExecuted)
+	}
+	if n := e.runs.size(); n != 0 {
+		t.Errorf("%d runs still memoised for removed traces, want 0", n)
+	}
+}
+
 func TestSubmitUnknownTraceID(t *testing.T) {
 	e := testEngine(t, 2)
 	_, err := e.Submit(context.Background(), SweepSpec{TraceIDs: []string{"trace-doesnotexist00"}})

@@ -40,8 +40,9 @@ import (
 	"nbticache/internal/obs"
 )
 
-// DefaultEventHeartbeat is the idle-stream heartbeat cadence.
-const DefaultEventHeartbeat = 15 * time.Second
+// EventHeartbeat is the idle-stream heartbeat cadence: SSE comments
+// that keep proxies from reaping a quiet stream.
+const EventHeartbeat = 15 * time.Second
 
 // maxEventLine bounds one SSE line on the reading side — at the
 // largest job-result payload a node admits (putJob caps result bodies
@@ -120,14 +121,11 @@ var heartbeatFrame = []byte(": hb\n\n")
 // StreamSweep serves h's completion feed on w until the sweep finishes
 // or the client disconnects. Registry.Mount serves it for the node and
 // the coordinator alike, so the two streaming surfaces speak one format.
-func StreamSweep(w http.ResponseWriter, r *http.Request, h *engine.Handle, heartbeat time.Duration, met *StreamMetrics) {
+func StreamSweep(w http.ResponseWriter, r *http.Request, h *engine.Handle, met *StreamMetrics) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusNotImplemented, "response writer cannot stream (no flush support)")
 		return
-	}
-	if heartbeat <= 0 {
-		heartbeat = DefaultEventHeartbeat
 	}
 	cursor := resumeCursor(r)
 	if cursor > 0 {
@@ -140,7 +138,7 @@ func StreamSweep(w http.ResponseWriter, r *http.Request, h *engine.Handle, heart
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	hb := time.NewTicker(heartbeat)
+	hb := time.NewTicker(EventHeartbeat)
 	defer hb.Stop()
 	for {
 		backlog, live, cancel := h.EventsFrom(cursor)

@@ -3,7 +3,6 @@ package httpapi
 import (
 	"net/http"
 	"sync"
-	"time"
 
 	"nbticache/internal/engine"
 )
@@ -91,14 +90,14 @@ func (r *Registry) Serve(serve func(http.ResponseWriter, *http.Request, *engine.
 
 // Mount serves the retained sweeps on mux: GET /v1/sweeps/{id} reports
 // progress and the results resolved so far, GET /v1/sweeps/{id}/events
-// streams completions (heartbeat <= 0 selects DefaultEventHeartbeat),
-// and DELETE /v1/sweeps/{id} cancels, keeping resolved results.
-func (r *Registry) Mount(mux *http.ServeMux, heartbeat time.Duration, met *StreamMetrics) {
+// streams completions, and DELETE /v1/sweeps/{id} cancels, keeping
+// resolved results.
+func (r *Registry) Mount(mux *http.ServeMux, met *StreamMetrics) {
 	mux.HandleFunc("GET /v1/sweeps/{id}", r.Serve(func(w http.ResponseWriter, _ *http.Request, h *engine.Handle) {
 		WriteJSON(w, http.StatusOK, SweepResponse{Status: h.Status(), Jobs: h.Results()})
 	}))
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", r.Serve(func(w http.ResponseWriter, req *http.Request, h *engine.Handle) {
-		StreamSweep(w, req, h, heartbeat, met)
+		StreamSweep(w, req, h, met)
 	}))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", r.Serve(func(w http.ResponseWriter, _ *http.Request, h *engine.Handle) {
 		h.Cancel()

@@ -14,7 +14,6 @@ import (
 	"mime"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"nbticache/internal/engine"
 	"nbticache/internal/obs"
@@ -41,10 +40,6 @@ type Config struct {
 	// profiles expose internals, so the operator opts in per process
 	// (-pprof on nbtiserved).
 	EnablePprof bool
-	// EventHeartbeat is the sweep event stream's idle heartbeat cadence
-	// (SSE comments that keep proxies from reaping a quiet stream);
-	// <= 0 selects DefaultEventHeartbeat.
-	EventHeartbeat time.Duration
 }
 
 // Defaults substituted for non-positive Config fields.
@@ -117,7 +112,7 @@ func NewServer(eng *engine.Engine, cfg Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.submitSweep)
-	s.sweeps.Mount(mux, s.cfg.EventHeartbeat, s.streamMet)
+	s.sweeps.Mount(mux, s.streamMet)
 	mux.HandleFunc("GET /v1/sweeps/{id}/spans", s.sweeps.Serve(s.getSweepSpans))
 	mux.HandleFunc("GET /v1/spans/{traceid}", s.getTraceSpans)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
