@@ -8,7 +8,7 @@ import (
 )
 
 // Detmap guards the determinism contract: content-addressed job IDs,
-// the scalar-vs-batched differential oracle, and the 1-vs-3-shard
+// the kernel-vs-reference-model oracle, and the 1-vs-3-shard
 // byte-identical cluster sweeps all assume no Go map iteration order
 // ever leaks into canonical encodings or wire output. The analyzer
 // flags `for ... range m` over a map when the loop body

@@ -7,12 +7,13 @@ import (
 )
 
 // kernelPackages are the hot simulation kernel packages whose results
-// must be a pure function of their inputs: the differential oracle
-// (scalar vs batched), the content-addressed result cache, and the
-// 1-vs-3-shard byte-identical cluster contract all assume a job
-// simulated twice produces the same bits. Wall-clock reads,
-// randomness, map-iteration order, and ad-hoc goroutine scheduling are
-// the four ways nondeterminism has historically tried to get in.
+// must be a pure function of their inputs: the oracle that checks the
+// kernel against a naive reference model, the content-addressed result
+// cache, and the 1-vs-3-shard byte-identical cluster contract all
+// assume a job simulated twice produces the same bits. Wall-clock
+// reads, randomness, map-iteration order, and ad-hoc goroutine
+// scheduling are the four ways nondeterminism has historically tried to
+// get in.
 var kernelPackages = map[string]bool{
 	"core":  true,
 	"cache": true,

@@ -86,11 +86,6 @@ func (g Geometry) Index(addr uint64) uint64 {
 	return g.LineAddr(addr) & uint64(g.Sets()-1)
 }
 
-// Tag returns the tag of addr (line address above the index).
-func (g Geometry) Tag(addr uint64) uint64 {
-	return g.LineAddr(addr) >> g.IndexBits()
-}
-
 // Cache is a tag store with LRU replacement. It models only presence (the
 // simulator never needs data contents).
 //
@@ -99,11 +94,9 @@ func (g Geometry) Tag(addr uint64) uint64 {
 // in bit 0 — so a lookup is one load and one compare, with 0 as the
 // "invalid" sentinel (no tag word is 0 because bit 0 is always set on a
 // valid line). The index/offset/tag splits are precomputed at New, and
-// the direct-mapped organisation (the paper's architecture, and every
-// bank the partitioned cache builds) skips the way scan and the LRU
-// stamp bookkeeping entirely.
+// the direct-mapped organisation (the paper's architecture) skips the
+// way scan and the LRU stamp bookkeeping entirely.
 type Cache struct {
-	geom    Geometry
 	ways    int
 	offBits uint
 	idxBits uint
@@ -137,7 +130,6 @@ func New(g Geometry) (*Cache, error) {
 		tagMask = 1<<uint(tagBits) - 1
 	}
 	c := &Cache{
-		geom:    g,
 		ways:    g.Ways,
 		offBits: uint(g.OffsetBits()),
 		idxBits: uint(g.IndexBits()),
@@ -153,9 +145,6 @@ func New(g Geometry) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Geometry returns the cache organisation.
-func (c *Cache) Geometry() Geometry { return c.geom }
 
 // tagWord returns the line's stored word for addr: tag<<1 | valid.
 func (c *Cache) tagWord(addr uint64) (set uint64, word uint64) {
@@ -206,44 +195,12 @@ func (c *Cache) accessAssoc(set int, word uint64) bool {
 	return false
 }
 
-// AccessBatch looks up every address in order, filling on miss, and
-// returns how many hit. It is the batch entry point of the simulation
-// kernel: the direct-mapped loop runs over local copies of the
-// precomputed splits with the counter updates folded into one flush.
-func (c *Cache) AccessBatch(addrs []uint64) uint64 {
-	var hits uint64
-	if c.ways == 1 {
-		tags := c.tags
-		off, ib, im, tm := c.offBits, c.idxBits, c.idxMask, c.tagMask
-		for _, a := range addrs {
-			la := a >> off
-			word := ((la>>ib)&tm)<<1 | 1
-			if set := la & im; tags[set] == word {
-				hits++
-			} else {
-				tags[set] = word
-			}
-		}
-		c.hits += hits
-		c.misses += uint64(len(addrs)) - hits
-		return hits
-	}
-	for _, a := range addrs {
-		set, word := c.tagWord(a)
-		if c.accessAssoc(int(set), word) {
-			hits++
-		}
-	}
-	return hits
-}
-
 // DirectTags is the flattened tag store of a direct-mapped cache plus
-// its precomputed address splits — the view the fused simulation kernel
-// (internal/core) probes inline, one load and one compare per access,
-// without a per-element call. Tags aliases the cache's own store, so
-// Flush (and fills through the normal entry points) stay visible to the
-// view and vice versa. A kernel probing through the view must report
-// its lookup tallies back through AddBatchStats to keep Stats whole.
+// its precomputed address splits — the view core's access walk probes
+// inline, one load and one compare per access, without a per-element
+// call. Tags aliases the cache's own store, so Flush (and fills through
+// Access) stay visible to the view and vice versa. Lookups through the
+// view are not counted in Stats.
 type DirectTags struct {
 	// Tags is the live tag-word array: tag<<1|valid per line, 0 invalid.
 	Tags []uint64
@@ -270,14 +227,6 @@ func (c *Cache) Direct() (dt DirectTags, ok bool) {
 	}, true
 }
 
-// AddBatchStats folds lookups performed externally through a Direct
-// view into the hit/miss counters, exactly as AccessBatch tallies its
-// own loop.
-func (c *Cache) AddBatchStats(hits, misses uint64) {
-	c.hits += hits
-	c.misses += misses
-}
-
 // Contains reports presence without updating LRU or counters.
 func (c *Cache) Contains(addr uint64) bool {
 	set, word := c.tagWord(addr)
@@ -298,15 +247,3 @@ func (c *Cache) Flush() {
 
 // Stats returns cumulative hit/miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// ResetStats zeroes the counters without touching contents.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

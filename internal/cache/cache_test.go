@@ -72,9 +72,6 @@ func TestIndexTagSplit(t *testing.T) {
 	if g.Index(addr) != line&1023 {
 		t.Errorf("Index = %#x", g.Index(addr))
 	}
-	if g.Tag(addr) != line>>10 {
-		t.Errorf("Tag = %#x", g.Tag(addr))
-	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -97,9 +94,6 @@ func TestColdMissThenHit(t *testing.T) {
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 2 {
 		t.Errorf("stats = %d/%d, want 2/2", hits, misses)
-	}
-	if c.HitRate() != 0.5 {
-		t.Errorf("HitRate = %v", c.HitRate())
 	}
 }
 
@@ -147,17 +141,6 @@ func TestFlush(t *testing.T) {
 	}
 	if c.Access(0x40) {
 		t.Error("post-flush access hit")
-	}
-	c.ResetStats()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Errorf("ResetStats left %d/%d", h, m)
-	}
-}
-
-func TestHitRateEmptyCache(t *testing.T) {
-	c, _ := New(geom16k())
-	if c.HitRate() != 0 {
-		t.Error("empty cache hit rate not 0")
 	}
 }
 
@@ -212,6 +195,61 @@ func TestAccessInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTagWordSentinel pins the flattened-store invariant the lookup
+// relies on: address 0 (tag 0) is distinguishable from an invalid line.
+func TestTagWordSentinel(t *testing.T) {
+	g := Geometry{Size: 1024, LineSize: 16, Ways: 1, AddressBits: 32}
+	c, _ := New(g)
+	if c.Contains(0) {
+		t.Fatal("empty cache claims to contain address 0")
+	}
+	if c.Access(0) {
+		t.Fatal("cold access to address 0 hit")
+	}
+	if !c.Access(0) {
+		t.Fatal("warm access to address 0 missed")
+	}
+	c.Flush()
+	if c.Contains(0) {
+		t.Fatal("flushed cache claims to contain address 0")
+	}
+}
+
+// TestOutOfWidthAddressesKeepDistinctTags: uploaded traces carry
+// unvalidated uint64 addresses, so two addresses differing only above
+// the geometry's declared AddressBits must still compare unequal (the
+// flattened store keeps every tag bit above the index/offset split, not
+// just the AddressBits-derived width). Regression: an early version of
+// the tag-word layout truncated to the declared width and turned the
+// second access below into a false hit.
+func TestOutOfWidthAddressesKeepDistinctTags(t *testing.T) {
+	for _, g := range []Geometry{
+		{Size: 1024, LineSize: 16, Ways: 1, AddressBits: 32},
+		{Size: 1024, LineSize: 16, Ways: 2, AddressBits: 32},
+	} {
+		c, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const lo, hi = uint64(0x1000), uint64(0x1_0000_1000) // equal below bit 32
+		if c.Access(lo) {
+			t.Fatal("cold access hit")
+		}
+		if c.Access(hi) {
+			t.Fatalf("%+v: address %#x aliased with %#x above the declared width", g, hi, lo)
+		}
+		if g.Ways > 1 {
+			// With 2 ways both lines fit one set: each must now hit as itself.
+			if !c.Access(lo) || !c.Access(hi) {
+				t.Fatalf("%+v: distinct out-of-width tags did not both stick", g)
+			}
+		}
+		if c.Access(lo+1<<40) || c.Access(lo+1<<41) {
+			t.Fatalf("%+v: out-of-width tags above bit 40 aliased", g)
+		}
 	}
 }
 

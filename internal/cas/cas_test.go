@@ -309,6 +309,54 @@ func TestDiskReopenPersists(t *testing.T) {
 	}
 }
 
+// TestDiskUnsyncedBounded: keys put behind and then evicted leave the
+// group-commit list, so it stays within twice the resident count, and
+// every resident blob is still committed and reads back after a reopen.
+func TestDiskUnsyncedBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir, Limits{MaxEntries: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rounds of 50, drained in between, keep the background writers few.
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 50; i++ {
+			key := fmt.Sprintf("job-%04d", round*50+i)
+			if err := s.PutBehind(key, []byte("v-"+key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.wb.drain()
+	}
+	s.mu.Lock()
+	listed, resident := len(s.unsynced), len(s.idx)
+	s.mu.Unlock()
+	if resident != 100 || listed > 202 {
+		t.Fatalf("after 1000 puts behind: %d keys awaiting commit, %d resident; want <= 202 and 100", listed, resident)
+	}
+	want, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenDisk(dir, Limits{MaxEntries: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for _, st := range want {
+		if blob, err := s2.Get(st.Key); err != nil || string(blob) != "v-"+st.Key {
+			t.Fatalf("reopened Get(%s) = %q, %v", st.Key, blob, err)
+		}
+	}
+	if m := s2.Metrics(); m.Entries != 100 || m.Corruptions != 0 {
+		t.Fatalf("reopened store: %+v", m)
+	}
+}
+
 // TestDiskCrashMidWrite: a temp file left by a crash between create and
 // rename is cleaned at open and never visible as a blob.
 func TestDiskCrashMidWrite(t *testing.T) {

@@ -562,7 +562,7 @@ func (s *DiskStore) syncDir() error {
 }
 
 // evictLocked drops the oldest blobs until the limit holds, shielding
-// keep.
+// keep, and compacts the order and group-commit lists against the index.
 func (s *DiskStore) evictLocked(keep string) {
 	limit := s.limits.MaxEntries
 	for i := 0; limit > 0 && len(s.idx) > limit && i < len(s.order); i++ {
@@ -585,6 +585,20 @@ func (s *DiskStore) evictLocked(keep string) {
 			}
 		}
 		s.order = live
+	}
+	// The group-commit list gets the same bound: a key evicted or
+	// deleted before the commit has nothing left to sync, and a key put
+	// behind twice needs one fsync.
+	if len(s.unsynced) > 2*(len(s.idx)+1) {
+		listed := make(map[string]bool, len(s.idx))
+		live := s.unsynced[:0]
+		for _, key := range s.unsynced {
+			if _, ok := s.idx[key]; ok && !listed[key] {
+				listed[key] = true
+				live = append(live, key)
+			}
+		}
+		s.unsynced = live
 	}
 }
 

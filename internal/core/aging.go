@@ -86,10 +86,6 @@ type Projection struct {
 	ShareError float64
 }
 
-// MeanDuty returns the average long-term sleep fraction across banks,
-// for reports.
-func (p *Projection) MeanDuty() float64 { return stats.Mean(p.BankDuty) }
-
 // ProjectAging folds per-region sleep duties through a policy's long-term
 // hosting shares and evaluates bank lifetimes with the aging model. The
 // policy is constructed fresh from its kind so live simulation state is

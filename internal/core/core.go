@@ -16,6 +16,12 @@
 //	1-hot select activates the bank; Block Control counters track
 //	idleness and drop idle banks to Vdd,low after the breakeven time.
 //
+// One walk simulates every access, whatever the associativity: it
+// decodes the region with a precomputed shift, reads f() from a
+// per-epoch bank table, accounts the region- and bank-keyed Block
+// Control counters inline, and probes the bank's tag store. The tests
+// pin it bit for bit to a naive per-access model of the structure above.
+//
 // An `update` event re-parameterises f() and flushes the cache, exactly
 // as §III-A3 prescribes.
 package core
@@ -33,7 +39,7 @@ import (
 )
 
 // ErrFinished is returned for any access simulated after Finish. The
-// batched kernel checks it once per batch and returns the bare sentinel;
+// walk checks it once per batch and returns the bare sentinel;
 // errors.Is matches it wherever Run wraps it with trace context.
 var ErrFinished = errors.New("core: access after Finish")
 
@@ -139,33 +145,17 @@ type PartitionedCache struct {
 	// per batch segment.
 	untilUpdate uint64
 
-	// Fused-path state, present when every bank is direct-mapped (the
-	// paper's organisation): each bank's flattened tag-word array and
-	// the shared address splits, captured once at New from the cache's
-	// Direct views. The fused kernel decodes, accounts both PMUs, and
-	// probes the tag store in one walk over the batch columns, with no
-	// intermediate region/bank/scatter buffers at all.
-	fusable    bool
+	// directTags is each bank's flattened tag-word array when the banks
+	// are direct-mapped (the paper's organisation), with the shared
+	// address splits captured once at New from the cache's Direct
+	// views, so the walk probes the tag store inline. It is nil for
+	// set-associative banks, which the walk probes through their
+	// cache.Cache.
 	directTags [][]uint64
 	dOff, dIdx uint
 	dIdxMask   uint64
 	dTagMask   uint64
-	// forceGeneral disables the fused path (differential-test hook: the
-	// general scatter path and the fused walk must agree bit for bit).
-	forceGeneral bool
 
-	// Batch scratch, reused across AccessBatch calls: decoded regions
-	// and banks for the PMU feeds, and the flat per-bank address scatter
-	// for the cache sub-batches — the general path's working set (the
-	// fused path needs none of it). Run and RunColumnsUnchecked lend a
-	// pooled Batch's scratch here so engine-driven simulations allocate
-	// none of it.
-	regionBuf  []int32
-	bankBuf    []int32
-	scatterBuf []uint64
-	bankCount  []int32  // per-bank access count within one segment
-	bankPos    []int32  // per-bank scatter cursor within one segment
-	bankHits   []uint64 // fused path: per-bank hits within one call
 	// one-element buffers backing the scalar Access wrapper.
 	s1cycle, s1addr [1]uint64
 	s1kind          [1]trace.Kind
@@ -243,9 +233,6 @@ func New(cfg Config) (*PartitionedCache, error) {
 		regionShift: uint(cfg.Geometry.OffsetBits() + cfg.Geometry.IndexBits() - p),
 		regionMask:  uint64(cfg.Banks - 1),
 		bankTable:   make([]int32, cfg.Banks),
-		bankCount:   make([]int32, cfg.Banks),
-		bankPos:     make([]int32, cfg.Banks),
-		bankHits:    make([]uint64, cfg.Banks),
 		untilUpdate: cfg.UpdateEvery,
 	}
 	if dt, ok := banks[0].Direct(); ok {
@@ -259,7 +246,6 @@ func New(cfg Config) (*PartitionedCache, error) {
 		}
 		pc.dOff, pc.dIdx = dt.OffBits, dt.IdxBits
 		pc.dIdxMask, pc.dTagMask = dt.IdxMask, dt.TagMask
-		pc.fusable = true
 	}
 	pc.rebuildBankTable()
 	return pc, nil
@@ -278,16 +264,6 @@ func (pc *PartitionedCache) rebuildBankTable() {
 	}
 }
 
-// Breakeven returns the Block Control threshold in cycles.
-func (pc *PartitionedCache) Breakeven() uint64 { return pc.breakeven }
-
-// CounterWidth returns the Block Control counter width in bits (the
-// paper's "5- or 6-bit counters suffice").
-func (pc *PartitionedCache) CounterWidth() int { return pc.width }
-
-// Policy exposes the active indexing policy.
-func (pc *PartitionedCache) Policy() index.Policy { return pc.policy }
-
 // Region returns the logical region (p MSBs of the index) of addr.
 func (pc *PartitionedCache) Region(addr uint64) uint {
 	return uint((addr >> pc.regionShift) & pc.regionMask)
@@ -295,7 +271,7 @@ func (pc *PartitionedCache) Region(addr uint64) uint {
 
 // Access simulates one reference. It returns whether it hit and which
 // physical bank served it. It is a thin wrapper over a one-element
-// AccessBatch, so the scalar and batched kernels cannot diverge.
+// AccessBatch, so scalar and batched calls run the same walk.
 func (pc *PartitionedCache) Access(cycle, addr uint64, kind trace.Kind) (hit bool, bank uint, err error) {
 	if pc.finished {
 		return false, 0, ErrFinished
@@ -316,10 +292,8 @@ func (pc *PartitionedCache) Access(cycle, addr uint64, kind trace.Kind) (hit boo
 // how many hit. It is the simulation kernel: validation runs once per
 // batch (Finish state, slice lengths) or once per element as a bare
 // predictable branch (cycle order), the region/bank decode is a shift,
-// a mask and a table load, the per-bank cache lookups run as per-bank
-// sub-batches, the two PMUs consume the decoded region/bank runs through
-// their own batch entry points, and the read/write counters accumulate
-// in locals with a single flush to the struct fields.
+// a mask and a table load, and the counters accumulate in locals with a
+// single flush to the struct fields.
 //
 // A batch that crosses one or more UpdateEvery boundaries is split into
 // segments at each boundary so the re-indexing update (and its cache
@@ -338,15 +312,13 @@ func (pc *PartitionedCache) AccessBatch(cycles, addrs []uint64, kinds []trace.Ki
 // accessBatch additionally reports how many accesses were applied, so
 // Run can name the exact offending access in its error.
 //
-// Two interchangeable kernels implement it. The fused kernel (the
-// paper's direct-mapped organisation, no PMU histograms) performs the
-// region/bank decode, both PMUs' interval accounting, and the tag-store
-// probe in ONE walk over the batch columns — no region/bank buffers, no
-// scatter, no second or third pass over the cycle column. The general
-// kernel (set-associative banks, or idle histograms enabled) keeps the
-// decode + counting-scatter + per-bank sub-batch structure, with the
-// two PMU feeds fused into a single paired walk. A differential oracle
-// pins the two bit-identical.
+// It is the one access walk, for every geometry: per element it
+// decodes the region and bank, accounts both PMUs' idle intervals, and
+// probes the bank's tag store — inline for a direct-mapped bank, through
+// the bank's cache.Cache for a set-associative one. Accesses reach each
+// bank in trace order either way, so the LRU state a bank sees does not
+// depend on how the trace is chunked. A naive per-access model of
+// Figs. 1-2 (reference_test.go) pins the walk bit for bit.
 func (pc *PartitionedCache) accessBatch(cycles, addrs []uint64, kinds []trace.Kind) (hits uint64, applied int, err error) {
 	if pc.finished {
 		return 0, 0, ErrFinished
@@ -359,28 +331,18 @@ func (pc *PartitionedCache) accessBatch(cycles, addrs []uint64, kinds []trace.Ki
 	if n == 0 {
 		return 0, 0, nil
 	}
-	if pc.fusable && !pc.forceGeneral {
-		rf, rok := pc.regionPMU.BatchFeed()
-		bf, bok := pc.bankPMU.BatchFeed()
-		if rok && bok {
-			return pc.accessBatchFused(cycles, addrs, kinds, rf, bf)
-		}
+	rf, err := pc.regionPMU.BatchFeed()
+	if err != nil {
+		return 0, 0, err
 	}
-	return pc.accessBatchGeneral(cycles, addrs, kinds)
-}
-
-// accessBatchFused is the single-pass kernel: decode, dual PMU interval
-// accounting and direct-mapped tag probe per element, counters in
-// locals, one flush at the end. Segmentation at UpdateEvery boundaries
-// and partial application on a cycle-order violation are identical to
-// the general kernel.
-func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []trace.Kind, rf, bf pmu.Feed) (hits uint64, applied int, err error) {
-	n := len(addrs)
+	bf, err := pc.bankPMU.BatchFeed()
+	if err != nil {
+		return 0, 0, err
+	}
 	shift, mask, table := pc.regionShift, pc.regionMask, pc.bankTable
 	off, ib := pc.dOff, pc.dIdx
 	im, tm := pc.dIdxMask, pc.dTagMask
-	tags := pc.directTags
-	counts, bankHits := pc.bankCount, pc.bankHits
+	tags, banks := pc.directTags, pc.banks
 	// Both PMUs carry the same Block Control threshold and, fed in
 	// lockstep, the same cursor.
 	be := rf.Breakeven
@@ -428,24 +390,26 @@ func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []tra
 			}
 			bl[b] = c
 			ba[b]++
-			// Direct-mapped probe: one load, one compare, fill on miss.
-			la := a >> off
-			word := ((la>>ib)&tm)<<1 | 1
-			t := tags[b]
-			if set := la & im; t[set] == word {
+			if tags != nil {
+				// Direct-mapped probe: one load, one compare, fill on miss.
+				la := a >> off
+				word := ((la>>ib)&tm)<<1 | 1
+				t := tags[b]
+				if set := la & im; t[set] == word {
+					hits++
+				} else {
+					t[set] = word
+				}
+			} else if banks[b].Access(a) {
 				hits++
-				bankHits[b]++
-			} else {
-				t[set] = word
 			}
-			counts[b]++
 			if kinds[j] == trace.Write {
 				writes++
 			} else {
 				reads++
 			}
 		}
-		if unordered && err == nil {
+		if unordered {
 			err = fmt.Errorf("%w: access at cycle %d after cycle %d", pmu.ErrUnordered, badCycle, prev)
 		}
 		// The update countdown covers the accesses that were applied,
@@ -463,109 +427,11 @@ func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []tra
 		}
 	}
 	// One flush: local tallies to the struct fields, the walk's cursor
-	// to both PMUs, per-bank lookups to the cache stats.
+	// to both PMUs.
 	pc.reads += reads
 	pc.writes += writes
 	pc.regionPMU.EndFeed(prev)
 	pc.bankPMU.EndFeed(prev)
-	for b, cnt := range counts {
-		if cnt > 0 {
-			pc.banks[b].AddBatchStats(bankHits[b], uint64(cnt)-bankHits[b])
-			counts[b], bankHits[b] = 0, 0
-		}
-	}
-	return hits, i, err
-}
-
-// accessBatchGeneral is the scatter kernel: decode pass, stable
-// counting scatter into per-bank sub-batches, paired PMU walk.
-func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []trace.Kind) (hits uint64, applied int, err error) {
-	n := len(addrs)
-	if cap(pc.regionBuf) < n {
-		pc.regionBuf = make([]int32, n)
-		pc.bankBuf = make([]int32, n)
-		pc.scatterBuf = make([]uint64, n)
-	}
-	regionBuf, bankBuf := pc.regionBuf[:n], pc.bankBuf[:n]
-	scatter := pc.scatterBuf[:n]
-	shift, mask, table := pc.regionShift, pc.regionMask, pc.bankTable
-	var reads, writes uint64
-	prev := pc.regionPMU.Cursor()
-	i := 0
-	for i < n {
-		// Segment up to the next re-indexing boundary.
-		end := n
-		if pc.cfg.UpdateEvery > 0 && uint64(end-i) > pc.untilUpdate {
-			end = i + int(pc.untilUpdate)
-		}
-		// Decode regions and banks and count kinds and per-bank runs.
-		// Stops early at a cycle-order violation so the offending access
-		// is not applied anywhere.
-		counts := pc.bankCount
-		j := i
-		var unordered bool
-		var badCycle uint64
-		for ; j < end; j++ {
-			c := cycles[j]
-			if c < prev {
-				unordered, badCycle = true, c
-				break
-			}
-			prev = c
-			r := int32((addrs[j] >> shift) & mask)
-			regionBuf[j] = r
-			b := table[r]
-			bankBuf[j] = b
-			counts[b]++
-			if kinds[j] == trace.Write {
-				writes++
-			} else {
-				reads++
-			}
-		}
-		// Stable counting scatter: group the segment's addresses by bank
-		// in one flat buffer, then run each bank's sub-batch through the
-		// cache's batch entry point.
-		pos := pc.bankPos
-		off := int32(0)
-		for b, cnt := range counts {
-			pos[b] = off
-			off += cnt
-		}
-		for k := i; k < j; k++ {
-			b := bankBuf[k]
-			scatter[pos[b]] = addrs[k]
-			pos[b]++
-		}
-		start := int32(0)
-		for b, cnt := range counts {
-			if cnt > 0 {
-				hits += pc.banks[b].AccessBatch(scatter[start : start+cnt])
-				counts[b] = 0
-			}
-			start += cnt
-		}
-		// One paired walk feeds both PMUs from the decoded keys.
-		err = pmu.AccessBatchPair(pc.regionPMU, pc.bankPMU, regionBuf[i:j], bankBuf[i:j], cycles[i:j])
-		if err == nil && unordered {
-			err = fmt.Errorf("%w: access at cycle %d after cycle %d", pmu.ErrUnordered, badCycle, prev)
-		}
-		// The update countdown covers the accesses that were applied,
-		// even on a partial segment, so an error leaves the same state a
-		// scalar call sequence would have.
-		if pc.cfg.UpdateEvery > 0 {
-			pc.untilUpdate -= uint64(j - i)
-			if pc.untilUpdate == 0 {
-				pc.Update()
-			}
-		}
-		i = j
-		if err != nil {
-			break
-		}
-	}
-	pc.reads += reads
-	pc.writes += writes
 	return hits, i, err
 }
 

@@ -9,6 +9,7 @@ import (
 	"nbticache/internal/cache"
 	"nbticache/internal/index"
 	"nbticache/internal/power"
+	"nbticache/internal/stats"
 	"nbticache/internal/trace"
 	"nbticache/internal/workload"
 )
@@ -83,10 +84,11 @@ func TestBreakevenDerivedAndOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be := pc.Breakeven(); be < 20 || be > 63 {
+	if be := pc.breakeven; be < 20 || be > 63 {
 		t.Errorf("derived breakeven %d outside paper band", be)
 	}
-	if w := pc.CounterWidth(); w < 5 || w > 6 {
+	// The paper's "5- or 6-bit counters suffice".
+	if w := pc.width; w < 5 || w > 6 {
 		t.Errorf("counter width %d, want 5-6", w)
 	}
 	cfg := testConfig()
@@ -95,8 +97,8 @@ func TestBreakevenDerivedAndOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.Breakeven() != 17 {
-		t.Errorf("override ignored: %d", pc.Breakeven())
+	if pc.breakeven != 17 {
+		t.Errorf("override ignored: %d", pc.breakeven)
 	}
 }
 
@@ -448,7 +450,7 @@ func TestProjectAgingIdentityVsProbing(t *testing.T) {
 	if len(pr.BankDuty) != 4 || len(pr.BankLifetimeYears) != 4 {
 		t.Error("vector lengths wrong")
 	}
-	if m := pr.MeanDuty(); math.Abs(m-0.49) > 1e-9 {
+	if m := stats.Mean(pr.BankDuty); math.Abs(m-0.49) > 1e-9 {
 		t.Errorf("mean duty %v, want 0.49", m)
 	}
 }

@@ -77,34 +77,23 @@ func (r *RunResult) AverageIdleness() float64 {
 	return stats.Mean(r.RegionUsefulIdleness())
 }
 
-// DefaultBatchSize is the access-chunk length Run simulates per
-// AccessBatch call: large enough to amortise the per-batch validation
-// and counter flushes, small enough that the chunk buffers stay resident
-// in cache.
+// DefaultBatchSize is the access-chunk length Run feeds the walk per
+// call: long enough to amortise the per-call validation, PMU feed setup
+// and counter flush over thousands of accesses.
 const DefaultBatchSize = 4096
 
-// Batch is the batch kernel's reusable scratch: the decoded regions and
-// banks and the per-bank address scatter the general kernel works in,
-// one chunk long. Drivers that simulate many traces — the engine's
-// worker pool above all — allocate a handful and reuse them across jobs
-// instead of allocating per run.
-type Batch struct {
-	regions []int32
-	banks   []int32
-	scatter []uint64
-}
+// Batch sets the chunk length RunColumnsUnchecked feeds the walk per
+// call. The walk reads the trace columns in place and keeps no
+// per-chunk scratch, so one Batch may serve any number of runs at once.
+type Batch struct{ size int }
 
-// NewBatch returns scratch for chunks of the given size; size < 1
-// selects DefaultBatchSize.
+// NewBatch returns a chunk length of size accesses; size < 1 selects
+// DefaultBatchSize.
 func NewBatch(size int) *Batch {
 	if size < 1 {
 		size = DefaultBatchSize
 	}
-	return &Batch{
-		regions: make([]int32, size),
-		banks:   make([]int32, size),
-		scatter: make([]uint64, size),
-	}
+	return &Batch{size: size}
 }
 
 // Run validates a trace, drives it through the cache, finishes it at
@@ -119,8 +108,8 @@ func (pc *PartitionedCache) Run(tr *trace.Trace) (*RunResult, error) {
 
 // RunColumnsUnchecked is Run without the O(n) re-validation pass, for
 // callers holding traces already validated at creation (a decoded blob,
-// an admitted upload, a generated trace), and with caller-owned kernel
-// scratch, reusable across runs (nil allocates one). Immutable traces
+// an admitted upload, a generated trace), with buf setting the chunk
+// length (nil selects DefaultBatchSize). Immutable traces
 // run many times pay validation once instead of per run — on a full
 // sweep the pass was ~10% of kernel time, re-checking what the decoders
 // had already proven. The kernel still enforces everything that matters
@@ -129,10 +118,8 @@ func (pc *PartitionedCache) Run(tr *trace.Trace) (*RunResult, error) {
 // kind tallies as a read instead of erroring — so traces of unproven
 // provenance must go through Run.
 //
-// The columns feed the batch kernel by slicing: each chunk is three
-// subslices, with no per-access copy. buf sizes the chunking and lends
-// the cache its scratch for the cache's lifetime, so hand it to another
-// run only after this cache is finished with.
+// The columns feed the walk by slicing: each chunk is three subslices,
+// with no per-access copy.
 func (pc *PartitionedCache) RunColumnsUnchecked(tr *trace.Trace, buf *Batch) (*RunResult, error) {
 	if len(tr.Addrs) != len(tr.Cycles) || len(tr.Kinds) != len(tr.Cycles) {
 		return nil, fmt.Errorf("core: column length mismatch: %d cycles, %d addrs, %d kinds",
@@ -146,14 +133,9 @@ func (pc *PartitionedCache) run(tr *trace.Trace, buf *Batch) (*RunResult, error)
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
-	if buf == nil || len(buf.regions) == 0 {
-		buf = NewBatch(DefaultBatchSize)
-	}
-	size := len(buf.regions)
-	// Lend the buffer's kernel scratch to the cache: every chunk this
-	// run feeds AccessBatch fits it, so the kernel allocates nothing.
-	if cap(pc.regionBuf) < size {
-		pc.regionBuf, pc.bankBuf, pc.scatterBuf = buf.regions, buf.banks, buf.scatter
+	size := DefaultBatchSize
+	if buf != nil && buf.size > 0 {
+		size = buf.size
 	}
 	var hits uint64
 	for start := 0; start < n; start += size {
@@ -262,15 +244,15 @@ func RunMonolithic(g cache.Geometry, tech power.Tech, tr *trace.Trace) (*Monolit
 		return nil, err
 	}
 	res := &MonolithicResult{Name: tr.Name, SpanCycles: tr.Span}
-	for _, k := range tr.Kinds {
-		if k == trace.Write {
+	for i, a := range tr.Addrs {
+		if tr.Kinds[i] == trace.Write {
 			res.Writes++
 		} else {
 			res.Reads++
 		}
+		c.Access(a)
 	}
-	res.Hits = c.AccessBatch(tr.Addrs)
-	res.Misses = uint64(tr.Len()) - res.Hits
+	res.Hits, res.Misses = c.Stats()
 	res.Energy, err = tech.Energy(g, 1, power.Usage{
 		Reads:      res.Reads,
 		Writes:     res.Writes,

@@ -404,16 +404,12 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 		if err != nil {
 			return nil, err
 		}
-		// The trace's columns feed the batch kernel by slicing; the
-		// pooled chunk buffer only sizes the chunking and lends scratch,
-		// so a sweep's thousandth simulation allocates no per-access
-		// state at all — and copies none either.
-		buf := batchPool.Get().(*core.Batch)
-		defer batchPool.Put(buf)
-		// Unchecked is sound here: every trace source in this engine —
-		// decoded blob, admitted upload, generated trace — validated at
-		// creation, and the traces are immutable thereafter.
-		res, err := sim.RunColumnsUnchecked(tr, buf)
+		// The trace's columns feed the walk by slicing, so a simulation
+		// allocates and copies no per-access state. Unchecked is sound
+		// here: every trace source in this engine — decoded blob,
+		// admitted upload, generated trace — validated at creation, and
+		// the traces are immutable thereafter.
+		res, err := sim.RunColumnsUnchecked(tr, nil)
 		if err == nil {
 			pc.add(phaseSimulate, simStart, time.Since(simStart))
 		}
@@ -650,11 +646,6 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	}
 	return h, nil
 }
-
-// batchPool holds batch-kernel chunk buffers shared by every engine in
-// the process: one buffer is in use per actively simulating worker, and
-// a worker's next job reuses the buffer its last job warmed.
-var batchPool = sync.Pool{New: func() any { return core.NewBatch(core.DefaultBatchSize) }}
 
 // task is one queued (sweep, job-index) pair. enq timestamps the push,
 // so the worker that pops it can report the queue wait.

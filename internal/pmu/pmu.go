@@ -23,9 +23,9 @@ import (
 	"nbticache/internal/stats"
 )
 
-// Sentinel errors, cheap enough for the batched kernel to return from a
-// hot loop without an allocation. The scalar Access path wraps them with
-// the offending bank/cycle for context, so errors.Is works on both.
+// Sentinel errors. Access wraps them with the offending bank/cycle for
+// context, and core's access walk wraps ErrUnordered the same way, so
+// errors.Is matches them wherever they surface.
 var (
 	// ErrFinished is returned for any access recorded after Finish.
 	ErrFinished = errors.New("pmu: access after Finish")
@@ -87,12 +87,6 @@ func (p *PMU) EnableHistograms(lo, hi float64, buckets int) {
 	p.histOn = true
 }
 
-// Banks returns the bank count.
-func (p *PMU) Banks() int { return p.banks }
-
-// Breakeven returns the breakeven threshold in cycles.
-func (p *PMU) Breakeven() uint64 { return p.breakeven }
-
 // Access records an access to bank at the given cycle. Cycles must be
 // non-decreasing across calls (they come from a validated trace). Errors
 // wrap the package sentinels, with context; nothing allocates on the
@@ -114,130 +108,17 @@ func (p *PMU) Access(bank int, cycle uint64) error {
 	return nil
 }
 
-// AccessBatch records one access per element of banks/cycles, in order —
-// the batched twin of Access with the per-call checks hoisted out of the
-// simulator's inner loop: the Finish check runs once per batch, and the
-// in-loop range/order checks return bare sentinels instead of formatting
-// an error. On error, every access before the offending element has been
-// applied (exactly the state a scalar call sequence would have left) and
-// the offending element and its successors have not.
-func (p *PMU) AccessBatch(banks []int32, cycles []uint64) error {
-	if p.finished {
-		return ErrFinished
-	}
-	if len(banks) != len(cycles) {
-		return fmt.Errorf("pmu: batch length mismatch: %d banks, %d cycles", len(banks), len(cycles))
-	}
-	nb := int32(p.banks)
-	be := p.breakeven
-	cur := p.cursor
-	last, useful, sleep := p.last, p.useful, p.sleep
-	intervals, accesses := p.intervals, p.accesses
-	for i, c := range cycles {
-		b := banks[i]
-		if uint32(b) >= uint32(nb) {
-			p.cursor = cur
-			return ErrBankRange
-		}
-		if c < cur {
-			p.cursor = cur
-			return ErrUnordered
-		}
-		cur = c
-		start := last[b]
-		if c > start {
-			gap := c - start
-			if p.histOn {
-				p.hist[b].Add(float64(gap))
-			}
-			if gap > be {
-				useful[b] += gap
-				sleep[b] += gap - be
-				intervals[b]++
-			}
-		}
-		last[b] = c
-		accesses[b]++
-	}
-	p.cursor = cur
-	return nil
-}
-
-// AccessBatchPair records one ordered access stream into two PMUs in a
-// single pass: pa keyed by aKeys[i], pb keyed by bKeys[i], both at
-// cycles[i]. The partitioned-cache kernel feeds its region- and
-// bank-keyed PMUs from the same decoded batch, and walking the cycle
-// column once for both halves the interval-accounting cost of what used
-// to be two full AccessBatch passes. Validation matches AccessBatch
-// (bare sentinels from the hot loop); on error, both PMUs have applied
-// every element before the offending one and neither has applied it.
-func AccessBatchPair(pa, pb *PMU, aKeys, bKeys []int32, cycles []uint64) error {
-	if pa.finished || pb.finished {
-		return ErrFinished
-	}
-	if len(aKeys) != len(cycles) || len(bKeys) != len(cycles) {
-		return fmt.Errorf("pmu: batch length mismatch: %d/%d keys, %d cycles",
-			len(aKeys), len(bKeys), len(cycles))
-	}
-	na, nb := int32(pa.banks), int32(pb.banks)
-	beA, beB := pa.breakeven, pb.breakeven
-	curA, curB := pa.cursor, pb.cursor
-	lastA, usefulA, sleepA, intervalsA, accA := pa.last, pa.useful, pa.sleep, pa.intervals, pa.accesses
-	lastB, usefulB, sleepB, intervalsB, accB := pb.last, pb.useful, pb.sleep, pb.intervals, pb.accesses
-	for i, c := range cycles {
-		ka, kb := aKeys[i], bKeys[i]
-		if uint32(ka) >= uint32(na) || uint32(kb) >= uint32(nb) {
-			pa.cursor, pb.cursor = curA, curB
-			return ErrBankRange
-		}
-		if c < curA || c < curB {
-			pa.cursor, pb.cursor = curA, curB
-			return ErrUnordered
-		}
-		curA, curB = c, c
-		if s := lastA[ka]; c > s {
-			gap := c - s
-			if pa.histOn {
-				pa.hist[ka].Add(float64(gap))
-			}
-			if gap > beA {
-				usefulA[ka] += gap
-				sleepA[ka] += gap - beA
-				intervalsA[ka]++
-			}
-		}
-		lastA[ka] = c
-		accA[ka]++
-		if s := lastB[kb]; c > s {
-			gap := c - s
-			if pb.histOn {
-				pb.hist[kb].Add(float64(gap))
-			}
-			if gap > beB {
-				usefulB[kb] += gap
-				sleepB[kb] += gap - beB
-				intervalsB[kb]++
-			}
-		}
-		lastB[kb] = c
-		accB[kb]++
-	}
-	pa.cursor, pb.cursor = curA, curB
-	return nil
-}
-
-// Feed is a PMU's per-bank accounting state as plain slices: the view a
-// fused kernel walk (core's batched simulation loop) uses to account
-// idle intervals inline with the decode pass that produces the bank
-// keys, instead of materialising key buffers and walking the cycle
-// column again per PMU. The slices alias the PMU's own arrays. The
-// contract mirrors AccessBatch: feed only cycle-ordered accesses with
-// in-range keys, apply exactly the AccessBatch per-element accounting,
-// and report the cycle of the last applied access through EndFeed when
-// the walk stops (normally or at its first out-of-order element).
+// Feed is a PMU's per-bank accounting state as plain slices: the view
+// core's access walk uses to account idle intervals inline with the
+// decode that produces the bank keys, instead of a call per access. The
+// slices alias the PMU's own arrays. The walk must feed only
+// cycle-ordered accesses with in-range keys, apply exactly Access's
+// per-element accounting, and report the cycle of the last applied
+// access through EndFeed when it stops (normally or at its first
+// out-of-order element).
 type Feed struct {
 	// Last[b] is bank b's most-recent-access cycle; Useful, Sleep and
-	// Intervals accumulate >Breakeven idle gaps exactly as AccessBatch
+	// Intervals accumulate >Breakeven idle gaps exactly as Access
 	// does; Accesses counts references.
 	Last, Useful, Sleep, Intervals, Accesses []uint64
 	// Breakeven is the sleep threshold in cycles.
@@ -246,13 +127,15 @@ type Feed struct {
 	Cursor uint64
 }
 
-// BatchFeed returns the accounting view for a fused walk, or ok=false
-// when the PMU cannot be fed externally: after Finish, or with per-gap
-// histograms enabled (a fused walk does not maintain them, so those
-// runs take the AccessBatch path).
-func (p *PMU) BatchFeed() (f Feed, ok bool) {
-	if p.finished || p.histOn {
-		return Feed{}, false
+// BatchFeed returns the accounting view for a walk. It refuses after
+// Finish, with ErrFinished, and with idle histograms enabled, which a
+// walk does not maintain.
+func (p *PMU) BatchFeed() (Feed, error) {
+	if p.finished {
+		return Feed{}, ErrFinished
+	}
+	if p.histOn {
+		return Feed{}, errors.New("pmu: batch feed with idle histograms enabled")
 	}
 	return Feed{
 		Last:      p.last,
@@ -262,10 +145,10 @@ func (p *PMU) BatchFeed() (f Feed, ok bool) {
 		Accesses:  p.accesses,
 		Breakeven: p.breakeven,
 		Cursor:    p.cursor,
-	}, true
+	}, nil
 }
 
-// EndFeed closes a fused walk, advancing the cursor to the cycle of the
+// EndFeed closes a walk, advancing the cursor to the cycle of the
 // last access the walk applied. A cursor at or behind the current one
 // is a no-op (a walk that applied nothing must not regress it).
 func (p *PMU) EndFeed(cursor uint64) {
@@ -291,11 +174,6 @@ func (p *PMU) closeInterval(bank int, now uint64) {
 		p.intervals[bank]++
 	}
 }
-
-// Cursor returns the cycle of the most recent access (0 before any) —
-// the ordering bound the next access must meet. The batched kernel uses
-// it to validate a whole batch's cycle order in one pass.
-func (p *PMU) Cursor() uint64 { return p.cursor }
 
 // Finish closes the trailing idle interval of every bank at endCycle (the
 // trace span) and freezes the PMU. It must be called exactly once.

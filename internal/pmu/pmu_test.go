@@ -1,6 +1,7 @@
 package pmu
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,5 +293,27 @@ func TestMatchesCycleAccurateBlockControl(t *testing.T) {
 		if want := sleepCycles[b]; got != want {
 			t.Errorf("bank %d: PMU sleep %d cycles, hardware %d", b, got, want)
 		}
+	}
+}
+
+// TestScalarSentinelWrapping pins errors.Is on Access's wrapped errors:
+// the API boundary keeps the contextual message, and callers still
+// match on the sentinel.
+func TestScalarSentinelWrapping(t *testing.T) {
+	p, _ := New(2, 5)
+	if err := p.Access(5, 0); !errors.Is(err, ErrBankRange) {
+		t.Fatalf("got %v, want wrapped ErrBankRange", err)
+	}
+	if err := p.Access(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Access(1, 50); !errors.Is(err, ErrUnordered) {
+		t.Fatalf("got %v, want wrapped ErrUnordered", err)
+	}
+	if err := p.Finish(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Access(0, 101); !errors.Is(err, ErrFinished) {
+		t.Fatalf("got %v, want ErrFinished", err)
 	}
 }
