@@ -7,8 +7,9 @@
 // projection points run as one engine sweep: the three policies and the
 // five scrambling epoch counts deduplicate to seven jobs (the explicit
 // scrambling point at the service-life epoch count collapses into the
-// cartesian grid) sharing three trace simulations through the engine's
-// run cache.
+// cartesian grid). Without in-trace updates every f() is the identity
+// map for the whole trace, so the seven jobs share one trace simulation
+// through the engine's run cache and differ only in their projections.
 package main
 
 import (

@@ -62,11 +62,23 @@ type Metrics struct {
 }
 
 // Limits bounds a store's capacity. A zero MaxEntries means unlimited.
-// When a Put would exceed it, the oldest blobs (by first insertion) are
-// evicted until it fits; the blob being put is never the victim.
+// When a Put would exceed it, the oldest blobs (by insertion, see
+// Store.Put) are evicted until it fits; the blob being put is never the
+// victim.
 type Limits struct {
 	MaxEntries int
 }
+
+// aged is one insertion in a store's age order: the key and the entry
+// it inserted. It is live while the key still maps to that entry, so a
+// key deleted and put again is aged from the new put, and its earlier
+// insertion is a tombstone that List and eviction skip.
+type aged[E any] struct {
+	key string
+	e   *E
+}
+
+func (a aged[E]) live(m map[string]*E) bool { return m[a.key] == a.e }
 
 // OpObserver receives the wall-clock latency of each store operation.
 // op is "get" or "put"; seconds is the operation's duration. Both
@@ -84,7 +96,8 @@ type Store interface {
 	Get(key string) ([]byte, error)
 	// Put stores blob under key, overwriting any previous value (equal
 	// keys are assumed to address equal content, so an overwrite is a
-	// no-op semantically). The key's age is its first insertion.
+	// no-op semantically). An overwrite keeps the key's age; a key put
+	// after its deletion is aged from that put.
 	Put(key string, blob []byte) error
 	// PutBehind is Put behind the caller: it returns once the blob is
 	// queued, and the write lands in the background. The blob is never

@@ -105,19 +105,61 @@ func TestStoreListOldestFirst(t *testing.T) {
 		if err := s.Put("job-1", []byte("new")); err != nil {
 			t.Fatal(err)
 		}
-		list, err := s.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var keys []string
-		for _, st := range list {
-			keys = append(keys, st.Key)
-		}
-		want := []string{"job-0", "job-1", "job-2", "job-3", "job-4"}
-		if strings.Join(keys, ",") != strings.Join(want, ",") {
-			t.Fatalf("List order = %v, want %v", keys, want)
+		if got, want := listed(t, s), "job-0,job-1,job-2,job-3,job-4"; got != want {
+			t.Fatalf("List order = %v, want %v", got, want)
 		}
 	})
+}
+
+// listed renders the store's List keys, oldest first.
+func listed(t *testing.T, s Store) string {
+	t.Helper()
+	list, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, st := range list {
+		keys = append(keys, st.Key)
+	}
+	return strings.Join(keys, ",")
+}
+
+// TestStoreRePutAfterDelete: a key deleted and put again is resident
+// once, aged from the new put, so it lists once, after the keys put
+// before it, and eviction takes the older key first. A result cache
+// reset deletes and re-puts every result this way.
+func TestStoreRePutAfterDelete(t *testing.T) {
+	for _, kind := range []string{"mem", "disk"} {
+		t.Run(kind, func(t *testing.T) {
+			s := boundedStore(t, kind, Limits{MaxEntries: 2})
+			put := func(key string) {
+				t.Helper()
+				if err := s.Put(key, []byte(key)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put("job-a")
+			put("job-b")
+			if err := s.Delete("job-a"); err != nil {
+				t.Fatal(err)
+			}
+			put("job-a")
+			if got, want := listed(t, s), "job-b,job-a"; got != want {
+				t.Fatalf("after re-put: List = %v, want %v", got, want)
+			}
+			put("job-c")
+			if got, want := listed(t, s), "job-a,job-c"; got != want {
+				t.Fatalf("after eviction: List = %v, want %v", got, want)
+			}
+			if _, err := s.Get("job-b"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("older key survived eviction: %v", err)
+			}
+			if m := s.Metrics(); m.Entries != 2 || m.Evictions != 1 {
+				t.Errorf("metrics after eviction: %+v", m)
+			}
+		})
+	}
 }
 
 func TestStoreEviction(t *testing.T) {

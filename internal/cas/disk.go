@@ -42,8 +42,8 @@ type DiskStore struct {
 
 	mu       sync.Mutex
 	idx      map[string]*diskEntry
-	order    []string // oldest first (mtime at open, insertion after)
-	unsynced []string // relaxed writes awaiting the next group commit
+	order    []aged[diskEntry] // oldest first (mtime at open, insertion after)
+	unsynced []string          // relaxed writes awaiting the next group commit
 	closed   bool
 	bytes    int64
 
@@ -144,8 +144,9 @@ func (s *DiskStore) scan() error {
 		return blobs[i].key < blobs[j].key
 	})
 	for _, b := range blobs {
-		s.idx[b.key] = &diskEntry{size: b.size}
-		s.order = append(s.order, b.key)
+		e := &diskEntry{size: b.size}
+		s.idx[b.key] = e
+		s.order = append(s.order, aged[diskEntry]{b.key, e})
 		s.bytes += b.size
 	}
 	return nil
@@ -462,8 +463,9 @@ func (s *DiskStore) putFrame(key string, blob []byte, sync bool) error {
 		s.bytes += int64(len(blob)) - e.size
 		e.size = int64(len(blob))
 	} else {
-		s.idx[key] = &diskEntry{size: int64(len(blob))}
-		s.order = append(s.order, key)
+		e := &diskEntry{size: int64(len(blob))}
+		s.idx[key] = e
+		s.order = append(s.order, aged[diskEntry]{key, e})
 		s.bytes += int64(len(blob))
 	}
 	s.puts.Add(1)
@@ -566,22 +568,21 @@ func (s *DiskStore) syncDir() error {
 func (s *DiskStore) evictLocked(keep string) {
 	limit := s.limits.MaxEntries
 	for i := 0; limit > 0 && len(s.idx) > limit && i < len(s.order); i++ {
-		key := s.order[i]
-		e, ok := s.idx[key]
-		if !ok || key == keep {
+		a := s.order[i]
+		if !a.live(s.idx) || a.key == keep {
 			continue
 		}
 		//nbtivet:ignore lockedio unlink must be atomic with the index removal or a racing Put of the same key could index a file eviction then deletes
-		os.Remove(s.path(key))
-		delete(s.idx, key)
-		s.bytes -= e.size
+		os.Remove(s.path(a.key))
+		delete(s.idx, a.key)
+		s.bytes -= a.e.size
 		s.evictions.Add(1)
 	}
 	if len(s.order) > 2*(len(s.idx)+1) {
 		live := s.order[:0]
-		for _, key := range s.order {
-			if _, ok := s.idx[key]; ok {
-				live = append(live, key)
+		for _, a := range s.order {
+			if a.live(s.idx) {
+				live = append(live, a)
 			}
 		}
 		s.order = live
@@ -634,9 +635,9 @@ func (s *DiskStore) List() ([]Stat, error) {
 		return nil, ErrClosed
 	}
 	out := make([]Stat, 0, len(s.idx))
-	for _, key := range s.order {
-		if e, ok := s.idx[key]; ok {
-			out = append(out, Stat{Key: key, Size: e.size})
+	for _, a := range s.order {
+		if a.live(s.idx) {
+			out = append(out, Stat{Key: a.key, Size: a.e.size})
 		}
 	}
 	return out, nil

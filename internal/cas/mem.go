@@ -17,16 +17,16 @@ type MemStore struct {
 
 	mu     sync.Mutex
 	m      map[string]*memEntry
-	order  []string // insertion order with tombstones, compacted lazily
-	dead   int      // tombstones in order (keys deleted or evicted)
+	order  []aged[memEntry] // insertion order with tombstones, compacted lazily
+	dead   int              // tombstones in order (keys deleted or evicted)
 	closed bool
 	bytes  int64
 
 	gets, hits, puts, putFailures, deletes, evictions atomic.Uint64
 }
 
-// memEntry holds one blob; a key present in order but absent from the
-// map is a tombstone left by delete/eviction, compacted lazily.
+// memEntry holds one blob; an insertion in order whose entry the map no
+// longer holds is a tombstone left by delete/eviction, compacted lazily.
 type memEntry struct {
 	blob []byte
 }
@@ -90,8 +90,9 @@ func (s *MemStore) Put(key string, blob []byte) error {
 		s.bytes += int64(len(cp)) - int64(len(e.blob))
 		e.blob = cp
 	} else {
-		s.m[key] = &memEntry{blob: cp}
-		s.order = append(s.order, key)
+		e := &memEntry{blob: cp}
+		s.m[key] = e
+		s.order = append(s.order, aged[memEntry]{key, e})
 		s.bytes += int64(len(cp))
 	}
 	s.puts.Add(1)
@@ -104,13 +105,13 @@ func (s *MemStore) Put(key string, blob []byte) error {
 func (s *MemStore) evictLocked(keep string) {
 	limit := s.limits.MaxEntries
 	for i := 0; limit > 0 && len(s.m) > limit && i < len(s.order); i++ {
-		key := s.order[i]
-		e, ok := s.m[key]
-		if !ok || key == keep {
+		a := s.order[i]
+		if !a.live(s.m) || a.key == keep {
 			continue
 		}
-		s.bytes -= int64(len(e.blob))
-		delete(s.m, key)
+		s.bytes -= int64(len(a.e.blob))
+		a.e.blob = nil // its tombstone outlives it in order
+		delete(s.m, a.key)
 		s.dead++
 		s.evictions.Add(1)
 	}
@@ -127,9 +128,9 @@ func (s *MemStore) compactLocked() {
 		return
 	}
 	live := s.order[:0]
-	for _, key := range s.order {
-		if _, ok := s.m[key]; ok {
-			live = append(live, key)
+	for _, a := range s.order {
+		if a.live(s.m) {
+			live = append(live, a)
 		}
 	}
 	s.order = live
@@ -151,6 +152,7 @@ func (s *MemStore) Delete(key string) error {
 		return ErrNotFound
 	}
 	s.bytes -= int64(len(e.blob))
+	e.blob = nil // its tombstone outlives it in order
 	delete(s.m, key)
 	s.dead++
 	s.deletes.Add(1)
@@ -166,9 +168,9 @@ func (s *MemStore) List() ([]Stat, error) {
 		return nil, ErrClosed
 	}
 	out := make([]Stat, 0, len(s.m))
-	for _, key := range s.order {
-		if e, ok := s.m[key]; ok {
-			out = append(out, Stat{Key: key, Size: int64(len(e.blob))})
+	for _, a := range s.order {
+		if a.live(s.m) {
+			out = append(out, Stat{Key: a.key, Size: int64(len(a.e.blob))})
 		}
 	}
 	return out, nil

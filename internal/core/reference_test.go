@@ -172,12 +172,15 @@ var refWays = []int{1, 2, 4}
 // TestFusedGeneralEquivalence pins the one fused walk, over the general
 // geometries (direct-mapped, 2-way and 4-way banks), to the reference
 // model: every policy, bank count and update cadence, at chunk sizes
-// that do and do not align with the cadence.
+// that do and do not align with the cadence. Without updates it also
+// pins the invariance the engine's run sharing rests on: the three
+// policies walk one trace to one result, up to PolicyName.
 func TestFusedGeneralEquivalence(t *testing.T) {
+	policies := []index.Kind{index.KindIdentity, index.KindProbing, index.KindScrambling}
 	seed := int64(100)
 	for _, ways := range refWays {
 		g := cache.Geometry{Size: 16 * 1024, LineSize: 16, Ways: ways, AddressBits: 32}
-		for _, pol := range []index.Kind{index.KindIdentity, index.KindProbing, index.KindScrambling} {
+		for _, pol := range policies {
 			for _, banks := range []int{2, 4, 8} {
 				for _, ue := range []uint64{0, 1, 7, 100, 4097} {
 					cfg := Config{Geometry: g, Banks: banks, Policy: pol, UpdateEvery: ue}
@@ -188,6 +191,30 @@ func TestFusedGeneralEquivalence(t *testing.T) {
 						label := fmt.Sprintf("%d-way %s M=%d every %d, chunk %d", ways, pol, banks, ue, size)
 						requireReference(t, label, want, runBatchedOracle(t, cfg, tr, size))
 					}
+				}
+			}
+		}
+		// UpdateEvery == 0, every policy on one trace: f() never
+		// advances, and every policy starts as the identity map
+		// (probing's counter and scrambling's XOR word are 0, whatever
+		// the LFSR seed), so the three results must be one.
+		for _, banks := range []int{2, 4, 8, 16} {
+			tr := oracleTrace(int64(1000*ways+banks), 5000, g)
+			var first *RunResult
+			for _, pol := range policies {
+				cfg := Config{Geometry: g, Banks: banks, Policy: pol, LFSRSeed: 0x2b}
+				label := fmt.Sprintf("%d-way %s M=%d every 0, LFSR seed %#x", ways, pol, banks, cfg.LFSRSeed)
+				got := runBatchedOracle(t, cfg, tr, DefaultBatchSize)
+				requireReference(t, label, runReference(t, cfg, tr), got)
+				if first == nil {
+					first = got
+					continue
+				}
+				named := *first
+				named.PolicyName = got.PolicyName
+				if !reflect.DeepEqual(got, &named) {
+					t.Fatalf("%s: differs from %s on the same trace beyond PolicyName:\n%s: %+v\n%s: %+v",
+						label, first.PolicyName, first.PolicyName, first, pol, got)
 				}
 			}
 		}

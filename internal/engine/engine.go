@@ -96,11 +96,10 @@ type Engine struct {
 	// through to traceBlobs and reloads from it at start.
 	store *traceStore
 	// runs memoises the trace simulation itself, keyed by the fields
-	// that affect it (workload, geometry, banks, policy, update
-	// cadence): jobs differing only in sleep mode or epochs share one
-	// run, since those enter through the aging projection alone. Runs
-	// are derived data — every persisted JobResult embeds its run — so
-	// this layer stays in-memory; a run over an uploaded trace is
+	// that affect it (JobSpec.runKey): jobs differing only in sleep
+	// mode, epochs or, without in-trace updates, policy share one run.
+	// Runs are derived data — every persisted JobResult embeds its run
+	// — so this layer stays in-memory; a run over an uploaded trace is
 	// forgotten when the trace store reaps the trace.
 	runs *flight[*core.RunResult]
 	// results is the job-result cache: a typed adapter over resultStore
@@ -418,6 +417,14 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 	if err != nil {
 		return nil, err
 	}
+	if run.PolicyName != string(kind) {
+		// Walked under a sibling policy (the run key omits the policy
+		// when no update runs), and identical to this policy's walk but
+		// for the name, so a shallow copy carrying it is this job's run.
+		cp := *run
+		cp.PolicyName = string(kind)
+		run = &cp
+	}
 	projStart := time.Now()
 	proj, err := core.ProjectAging(e.model, run.RegionSleepFractions(), kind, spec.Epochs, mode)
 	if err != nil {
@@ -508,8 +515,9 @@ type Stats struct {
 	CacheMisses   uint64 `json:"cache_misses"`
 	CachedResults int    `json:"cached_results"`
 	// RunsExecuted counts trace simulations actually performed;
-	// RunsShared counts jobs that reused another job's simulation
-	// (same point up to sleep mode/epochs).
+	// RunsShared counts jobs that reused another job's simulation (same
+	// run key: the same point up to sleep mode, epochs and, without
+	// in-trace updates, policy).
 	RunsExecuted uint64 `json:"runs_executed"`
 	RunsShared   uint64 `json:"runs_shared"`
 	TracesBuilt  uint64 `json:"traces_built"`
@@ -590,9 +598,10 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Submit expands the sweep, enqueues every job on the pool, and returns
-// a handle immediately. ctx bounds expansion only; the sweep's own
-// lifetime is governed by the engine (Close) and the handle (Cancel).
+// Submit expands the sweep, enqueues its jobs on the pool grouped by
+// run (one task per distinct trace simulation), and returns a handle
+// immediately. ctx bounds expansion only; the sweep's own lifetime is
+// governed by the engine (Close) and the handle (Cancel).
 func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("engine: closed")
@@ -640,19 +649,36 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	h := NewHandle(e.lifeCtx, id, spec, jobs, span, func() { e.store.unpinAll(pinned) })
 	e.sweepsTotal.Add(1)
 	e.jobsSubmitted.Add(uint64(len(jobs)))
+	// Schedule by run: one task per distinct run, holding the slots of
+	// every job that shares it in submission order. Every group is
+	// complete before the first push, because a worker ranges over its
+	// task's slots as soon as it pops it.
+	byRun := make(map[string]*task, len(jobs))
+	tasks := make([]*task, 0, len(jobs))
 	now := time.Now()
-	for i := range jobs {
-		e.q.push(&task{h: h, idx: i, enq: now})
+	for i, j := range jobs {
+		key := j.runKey()
+		t, ok := byRun[key]
+		if !ok {
+			t = &task{h: h, enq: now}
+			byRun[key] = t
+			tasks = append(tasks, t)
+		}
+		t.slots = append(t.slots, i)
 	}
+	e.q.push(tasks)
 	return h, nil
 }
 
-// task is one queued (sweep, job-index) pair. enq timestamps the push,
-// so the worker that pops it can report the queue wait.
+// task is one distinct run of a sweep: the slots of the jobs that share
+// it, which one worker executes back to back. The first resolves and
+// walks the trace; the rest hit the run memo and only project, persist
+// and record. enq timestamps the push, so each slot's queue wait runs
+// until its worker turns to it.
 type task struct {
-	h   *Handle
-	idx int
-	enq time.Time
+	h     *Handle
+	slots []int
+	enq   time.Time
 }
 
 // worker pulls tasks until the queue is closed and drained. Tasks whose
@@ -669,13 +695,15 @@ func (e *Engine) worker() {
 			return
 		}
 		e.activeWorkers.Add(1)
-		e.execute(t, pc)
+		for _, slot := range t.slots {
+			e.execute(t, slot, pc)
+		}
 		e.activeWorkers.Add(-1)
 	}
 }
 
-func (e *Engine) execute(t *task, pc *phaseClock) {
-	spec := t.h.jobs[t.idx]
+func (e *Engine) execute(t *task, slot int, pc *phaseClock) {
+	spec := t.h.jobs[slot]
 	// Phase timing is a core result field — the cluster merges shard
 	// timings whatever the telemetry config — so the clock always runs;
 	// with a no-op recorder the observations are simply dropped, and the
@@ -691,7 +719,7 @@ func (e *Engine) execute(t *task, pc *phaseClock) {
 	default:
 		e.jobsCompleted.Add(1)
 	}
-	t.h.Record(t.idx, res)
+	t.h.Record(slot, res)
 }
 
 // failedResult wraps a job execution error as its recorded result.
@@ -719,11 +747,12 @@ func newTaskQueue() *taskQueue {
 	return q
 }
 
-func (q *taskQueue) push(t *task) {
+// push appends a sweep's tasks and wakes the idle workers.
+func (q *taskQueue) push(ts []*task) {
 	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
+	q.tasks = append(q.tasks, ts...)
 	q.mu.Unlock()
-	q.cond.Signal()
+	q.cond.Broadcast()
 }
 
 func (q *taskQueue) pop() (*task, bool) {
@@ -747,8 +776,13 @@ func (q *taskQueue) close() {
 	q.cond.Broadcast()
 }
 
+// size returns the job slots no worker has picked up.
 func (q *taskQueue) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.tasks)
+	n := 0
+	for _, t := range q.tasks {
+		n += len(t.slots)
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nbticache/internal/cache"
+	"nbticache/internal/core"
 	"nbticache/internal/workload"
 )
 
@@ -94,18 +96,24 @@ func TestSweepExpand(t *testing.T) {
 
 // TestConcurrentDedup is the exactly-once guarantee under contention:
 // many goroutines submit overlapping sweeps; every unique job must
-// simulate exactly once (cache misses == unique jobs) while every
-// submission still gets a full result set. Run with -race.
+// compute exactly once (cache misses == unique jobs) and every distinct
+// run must simulate exactly once, while every submission still gets a
+// full result set. The three policies share each run, so the clients
+// contend on multi-slot tasks. Run with -race.
 func TestConcurrentDedup(t *testing.T) {
 	e := testEngine(t, 4)
 	spec := SweepSpec{
 		Benches:  []string{"sha", "gsme", "adpcm.dec"},
 		Banks:    []int{2, 4},
-		Policies: []string{"probing"},
+		Policies: []string{"identity", "probing", "scrambling"},
 	}
 	unique, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
+	}
+	runKeys := make(map[string]bool)
+	for _, j := range unique {
+		runKeys[j.runKey()] = true
 	}
 
 	const clients = 8
@@ -153,6 +161,9 @@ func TestConcurrentDedup(t *testing.T) {
 	}
 	if st.JobsCompleted != uint64(clients*len(unique)) {
 		t.Errorf("jobs completed = %d, want %d", st.JobsCompleted, clients*len(unique))
+	}
+	if st.RunsExecuted != uint64(len(runKeys)) {
+		t.Errorf("runs executed = %d, want one per distinct run key (%d)", st.RunsExecuted, len(runKeys))
 	}
 	if st.JobsFailed != 0 || st.JobsCanceled != 0 {
 		t.Errorf("unexpected failures/cancellations: %+v", st)
@@ -256,37 +267,97 @@ func TestRunJobPrivateResults(t *testing.T) {
 }
 
 // TestRunSharingAcrossModes: sleep mode and epochs only enter the aging
-// projection, so jobs differing only there must share one trace
-// simulation while keeping distinct projections.
+// projection, and without in-trace updates neither does the policy, so
+// jobs differing only there must share one trace simulation while
+// keeping distinct projections. Every job's run must still be its own
+// policy's walk, byte for byte; with updates the policies walk
+// differently and must not share.
 func TestRunSharingAcrossModes(t *testing.T) {
-	e := testEngine(t, 2)
-	h, err := e.Submit(context.Background(), SweepSpec{
-		Benches: []string{"sha"},
-		Modes:   []string{ModeVoltageScaled, ModePowerGated},
-	})
+	policies := []string{"identity", "probing", "scrambling"}
+	modes := []string{ModeVoltageScaled, ModePowerGated}
+	var updating []JobSpec
+	for _, pol := range policies {
+		for _, mode := range modes {
+			updating = append(updating, JobSpec{Bench: "sha", Policy: pol, Mode: mode, UpdateEvery: 7})
+		}
+	}
+	for _, tc := range []struct {
+		name             string
+		spec             SweepSpec
+		executed, shared uint64
+	}{
+		{"no updates", SweepSpec{Benches: []string{"sha"}, Policies: policies, Modes: modes}, 1, 5},
+		{"update every 7", SweepSpec{Jobs: updating}, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := testEngine(t, 2)
+			h, err := e.Submit(context.Background(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != 6 {
+				t.Fatalf("%d jobs, want 6", len(res.Jobs))
+			}
+			projections := make(map[string]string)
+			for _, r := range res.Jobs {
+				if r.Failed() {
+					t.Fatalf("job %s failed: %s", r.ID, r.Err)
+				}
+				pol := r.Spec.Policy
+				if r.Run.PolicyName != pol {
+					t.Errorf("job %s (%s): run carries policy %q", r.ID, pol, r.Run.PolicyName)
+				}
+				proj := mustJSON(t, r.Projection)
+				if prev, ok := projections[pol]; ok && prev == proj {
+					t.Errorf("%s: distinct sleep modes projected identical aging", pol)
+				}
+				projections[pol] = proj
+				if got, want := mustJSON(t, r.Run), mustJSON(t, directRun(t, e, r.Spec)); got != want {
+					t.Errorf("job %s (%s): served run differs from a direct walk under its policy:\n got %s\nwant %s", r.ID, pol, got, want)
+				}
+			}
+			if st := e.Stats(); st.RunsExecuted != tc.executed || st.RunsShared != tc.shared {
+				t.Errorf("runs executed/shared = %d/%d, want %d/%d", st.RunsExecuted, st.RunsShared, tc.executed, tc.shared)
+			}
+		})
+	}
+}
+
+// directRun walks spec's trace on a fresh core simulator under spec's
+// own policy, bypassing the engine's run sharing.
+func directRun(t *testing.T, e *Engine, spec JobSpec) *core.RunResult {
+	t.Helper()
+	g := spec.Geometry()
+	tr, err := e.Trace(context.Background(), spec.Bench, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.Wait(context.Background())
+	kind, err := spec.PolicyKind()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Jobs) != 2 {
-		t.Fatalf("%d jobs, want 2", len(res.Jobs))
+	sim, err := core.New(core.Config{Geometry: g, Banks: spec.Banks, Policy: kind, Tech: e.Tech(), UpdateEvery: spec.UpdateEvery})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := res.Jobs[0], res.Jobs[1]
-	if a.Failed() || b.Failed() {
-		t.Fatalf("jobs failed: %q / %q", a.Err, b.Err)
+	run, err := sim.RunColumnsUnchecked(tr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Run != b.Run {
-		t.Error("mode variants did not share the trace simulation")
+	return run
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Projection.LifetimeYears == b.Projection.LifetimeYears {
-		t.Error("distinct sleep modes projected identical lifetimes")
-	}
-	if st := e.Stats(); st.RunsExecuted != 1 || st.RunsShared != 1 {
-		t.Errorf("runs executed/shared = %d/%d, want 1/1", st.RunsExecuted, st.RunsShared)
-	}
+	return string(b)
 }
 
 // TestCancellation submits a sweep on a single worker and cancels it

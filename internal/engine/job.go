@@ -7,7 +7,10 @@
 // sweeps on a bounded worker pool with deterministic content-addressed
 // result caching, per-job error isolation, cancellation, and progress
 // counters. Identical jobs — within one sweep, across overlapping
-// sweeps, or across clients — are simulated exactly once.
+// sweeps, or across clients — are simulated exactly once, and jobs
+// that differ only where the trace simulation cannot see it (sleep
+// mode, epochs, and the policy when no in-trace update runs) share one
+// simulation.
 package engine
 
 import (
@@ -203,15 +206,24 @@ func (j JobSpec) ID() string {
 	return id
 }
 
-// runKey is the run-cache address: the trace simulation depends on the
-// workload, geometry, banks, policy and update cadence, but not on the
-// sleep mode or epoch count (those enter through the projection), so
-// jobs differing only there share one simulation. The workload key
-// leads, so every run of one uploaded trace shares the prefix
-// "t:<id>|" that the trace's removal forgets.
+// runKey is the run-cache address: the fields the trace simulation
+// depends on, which are the workload, geometry, banks and update
+// cadence. Sleep mode and epoch count enter only through the aging
+// projection. So does the policy when no in-trace update runs
+// (UpdateEvery == 0): every f() starts as the identity map (probing's
+// counter and scrambling's XOR word both start at 0) and never
+// advances, so the three policies walk the trace identically. With
+// updates their maps diverge, and the policy stays. Jobs with equal
+// keys share one simulation, and Submit schedules one task per
+// distinct key. The workload key leads, so every run of one uploaded
+// trace shares the prefix "t:<id>|" that the trace's removal forgets.
 func (j JobSpec) runKey() string {
 	n := j.Normalised()
-	return fmt.Sprintf("%s|%d|%d|%d|%s|%d", n.workloadKey(), n.SizeKB, n.LineBytes, n.Banks, n.Policy, n.UpdateEvery)
+	policy := n.Policy
+	if n.UpdateEvery == 0 {
+		policy = ""
+	}
+	return fmt.Sprintf("%s|%d|%d|%d|%s|%d", n.workloadKey(), n.SizeKB, n.LineBytes, n.Banks, policy, n.UpdateEvery)
 }
 
 // SweepSpec describes a set of jobs. Jobs lists explicit points;
@@ -404,7 +416,9 @@ type JobResult struct {
 // JobTiming is one job execution's per-phase wall time, milliseconds.
 // Phases that did not run this time (a cached result skips resolve,
 // simulate and project; a shared run skips resolve and simulate) are
-// zero.
+// zero. QueueMs runs from the sweep's enqueue until the worker turns
+// to this job, so a job queued behind others of its run includes
+// their execution.
 type JobTiming struct {
 	QueueMs    float64 `json:"queue_ms"`
 	ResolveMs  float64 `json:"resolve_ms,omitempty"`

@@ -8,9 +8,11 @@ import (
 )
 
 // Phase names: the values of the nbtiserved_job_phase_seconds{phase}
-// label, the engine.<phase> span names, and the keys of JobTiming.
+// label, the engine.<phase> span names, and the keys of JobTiming. A
+// job's queue phase lasts until its worker turns to it, so a job queued
+// behind others of its run (one task, see Submit) includes their time.
 const (
-	phaseQueue    = "queue"    // enqueue to worker pickup
+	phaseQueue    = "queue"    // enqueue until the worker turns to the job
 	phaseResolve  = "resolve"  // workload resolution (trace lookup or generation)
 	phaseSimulate = "simulate" // core trace simulation
 	phaseProject  = "project"  // aging projection

@@ -117,10 +117,15 @@ var benchSweep = SweepSpec{Benches: workload.Names(), Banks: []int{4, 8}}
 // hosts; together they fail only when recording itself gets more
 // expensive. Wall-clock comparisons are noisy, so the guard takes the
 // best of several paired runs and only fails when every attempt
-// exceeds both bounds.
+// exceeds both bounds. Under the race detector the guard would time the
+// detector's instrumentation rather than the program, so it runs only
+// in race-free builds, like the standard library's timing tests.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead guard benchmarks for seconds; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock guard; the race detector's instrumentation dominates the timing")
 	}
 	workers := runtime.GOMAXPROCS(0)
 	mkEngine := func(tel *obs.Telemetry) *Engine {

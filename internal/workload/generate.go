@@ -89,7 +89,26 @@ func (p Profile) Generate(gp GenParams) (*trace.Trace, error) {
 		hot[s] = uint64(rng.Int63n(int64(linesPerSub)))
 	}
 
-	tr := &trace.Trace{Name: p.Name}
+	// A phase emits at most its access budget, and a phase with no
+	// active subregion emits nothing, so the columns are sized once for
+	// the active phases: no regrowth garbage while generating, and
+	// little unused capacity (under 1% at DefaultGenParams) held for
+	// the trace's lifetime, since traces are cached.
+	budget := 0
+	for phase := 0; phase < gp.Phases; phase++ {
+		for s := 0; s < Subregions; s++ {
+			if schedules[s][phase] {
+				budget += gp.AccessesPerPhase
+				break
+			}
+		}
+	}
+	tr := &trace.Trace{
+		Name:   p.Name,
+		Cycles: make([]uint64, 0, budget),
+		Addrs:  make([]uint64, 0, budget),
+		Kinds:  make([]trace.Kind, 0, budget),
+	}
 	phaseCycles := uint64(gp.AccessesPerPhase) * gapMean
 	active := make([]int, 0, Subregions)
 	for phase := 0; phase < gp.Phases; phase++ {
